@@ -663,9 +663,12 @@ def _cmd_sweep(args, fmt, out) -> int:
     else:
         result = sweeps.run_sweep(args.kind, args.trials, args.seed)
     if args.dump is not None:
-        with open(args.dump, "w", encoding="utf-8") as handle:
-            json.dump(result.instances, handle, indent=1)
-            handle.write("\n")
+        try:
+            with open(args.dump, "w", encoding="utf-8") as handle:
+                json.dump(result.instances, handle, indent=1)
+                handle.write("\n")
+        except OSError as exc:
+            raise ResourceError(f"cannot write to {args.dump}: {exc}") from exc
     pairs = [
         ("kind", result.kind),
         ("trials", result.trials),

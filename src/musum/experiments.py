@@ -21,8 +21,10 @@ from pathlib import Path
 
 from .errors import DomainError
 from .primes import IntervalPrimes, PrimeSetSpec, render_spec
-from .semigroup import _sieve_stream, count_members_outside, enumerate_terms
-from .sums import SumReport, _report, _validate_mode_and_x, euler_product_partial, partial_sum
+from .semigroup import _heap_stream, complement_table, member_table, table_tally, table_terms
+from .semigroup import tally
+from .sums import SumReport, _mu_stream, _report, _terms, _validate_mode_and_x
+from .sums import euler_product_partial, partial_sum
 
 # Euler-Mascheroni constant, 20 decimal digits (OEIS A001620).
 EULER_MASCHERONI = 0.57721566490153286061
@@ -55,25 +57,33 @@ class ConvergenceRow:
     gap: float
 
 
+def _checked_grid_table(spec: PrimeSetSpec, x_grid: list[int]) -> bytearray:
+    """Validate every grid point as a float-mode partial sum would, then
+    build the one code table of <P> that all of them read."""
+    if not x_grid:
+        raise DomainError("x grid must be nonempty")
+    for x in x_grid:
+        _validate_mode_and_x("float", x)
+    return member_table(spec, max(x_grid))
+
+
+def _float_sum(table: bytearray, x: int) -> float:
+    """partial_sum(spec, x, "float").value_float read off a code table of <P>
+    built up to x or beyond (fsum does not depend on the terms' route)."""
+    return _report("", x, "float", _terms(table_terms(table, x, True))).value_float
+
+
 def convergence_table(spec: PrimeSetSpec, x_grid: list[int]) -> list[ConvergenceRow]:
     """Pair the partial sum at each grid point with the truncated product of
     (1 - 1/p) over members p <= x; their gap tends to zero as x grows."""
-    if not x_grid:
-        raise DomainError("x grid must be nonempty")
     if any(a >= b for a, b in zip(x_grid, x_grid[1:])):
         raise DomainError("x grid must be strictly ascending")
+    table = _checked_grid_table(spec, x_grid)
     rows = []
     for x in x_grid:
-        sum_value = partial_sum(spec, x, mode="float").value_float
+        sum_value = _float_sum(table, x)
         product_value = euler_product_partial(spec, x)
-        rows.append(
-            ConvergenceRow(
-                x=x,
-                sum_value=sum_value,
-                product_value=product_value,
-                gap=sum_value - product_value,
-            )
-        )
+        rows.append(ConvergenceRow(x, sum_value, product_value, sum_value - product_value))
     return rows
 
 
@@ -106,7 +116,7 @@ def mean_mobius(spec: PrimeSetSpec, x: int) -> float:
     in exact integers and divided once at the end."""
     if x < 1:
         raise DomainError(f"mean requires x >= 1, got {x}")
-    return sum(t.mu for t in enumerate_terms(spec, x)) / x
+    return tally(spec, x)[1] / x
 
 
 @dataclass(frozen=True)
@@ -129,23 +139,15 @@ class GranResidualRow:
 
 
 def gran_residual(spec: PrimeSetSpec, x_grid: list[int]) -> list[GranResidualRow]:
-    if not x_grid:
-        raise DomainError("x grid must be nonempty")
+    inside = _checked_grid_table(spec, x_grid)
+    outside = complement_table(spec, max(x_grid))
     rows = []
     for x in x_grid:
-        lhs = x * partial_sum(spec, x, mode="float").value_float
-        count_term = count_members_outside(spec, x)
-        mobius_total = sum(t.mu for t in enumerate_terms(spec, x))
-        mertens_term = (1.0 - EULER_MASCHERONI) * mobius_total
-        rows.append(
-            GranResidualRow(
-                x=x,
-                lhs=lhs,
-                count_term=count_term,
-                mertens_term=mertens_term,
-                residual=lhs - count_term - mertens_term,
-            )
-        )
+        lhs = x * _float_sum(inside, x)
+        count_term = table_tally(outside, x)[0]
+        mertens_term = (1.0 - EULER_MASCHERONI) * table_tally(inside, x)[1]
+        residual = lhs - count_term - mertens_term
+        rows.append(GranResidualRow(x, lhs, count_term, mertens_term, residual))
     return rows
 
 
@@ -165,7 +167,7 @@ def semiprime_sum(x: int, mode: str = "exact") -> SumReport:
     _validate_mode_and_x(mode, x)
     # mu(n) = +1 means squarefree with evenly many prime factors, which are
     # exactly the members with a nonzero term.
-    terms = ((t.n, 1, t.n) for t in _sieve_stream(lambda p: True, x, True) if t.mu == 1)
+    terms = ((n, 1, n) for n, mu in _mu_stream(x) if mu == 1)
     return _report("semiprime", x, mode, terms)
 
 
@@ -173,12 +175,14 @@ def semiprime_crossing(threshold: float = 2.0, limit: int = 10**6) -> int | None
     """Smallest x <= limit at which the semiprime-semigroup sum exceeds
     ``threshold``, or None if it stays below (divergence guarantees a
     crossing for every threshold once the limit is large enough)."""
+    if limit < 1:
+        return None
     total = 0.0
-    for t in _sieve_stream(lambda p: True, limit, True):
-        if t.mu == 1:
-            total += 1.0 / t.n
+    for n, mu in _mu_stream(limit):
+        if mu == 1:
+            total += 1.0 / n
             if total > threshold:
-                return t.n
+                return n
     return None
 
 
@@ -192,6 +196,8 @@ class BeurlingSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(float(g) for g in self.generators))
+        if not all(math.isfinite(g) for g in self.generators):
+            raise DomainError("every generator must be a finite real")
         if any(g <= 1.0 for g in self.generators):
             raise DomainError("every generator must exceed 1")
         if len(self.generators) > 12:
@@ -215,18 +221,5 @@ def beurling_partial_sum(system: BeurlingSystem, x: float) -> float:
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     cutoff = x * (1.0 + BEURLING_RELATIVE_TOLERANCE)
-    gens = sorted(system.generators)
-    terms: list[tuple[float, float]] = []
-
-    def extend(idx: int, value: float, mu: int):
-        terms.append((value, mu / value))
-        for k in range(idx, len(gens)):
-            nxt = value * gens[k]
-            if nxt > cutoff:
-                break
-            extend(k + 1, nxt, -mu)
-
-    if 1.0 <= cutoff:
-        extend(0, 1.0, 1)
-    terms.sort()
-    return math.fsum(contribution for _, contribution in terms)
+    products = _heap_stream(tuple(sorted(system.generators)), cutoff, True)
+    return math.fsum(mu / value for value, mu in products)

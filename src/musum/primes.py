@@ -96,13 +96,18 @@ def sieve_primes(limit: int) -> PrimeTable:
         )
     if limit < 2:
         return PrimeTable(limit, ())
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
+    return PrimeTable(limit, tuple(i for i, f in enumerate(_prime_flags(limit)) if f))
+
+
+def _prime_flags(limit: int) -> bytearray:
+    """flags[n] = 1 if n is prime else 0, for 0 <= n <= limit; one byte per
+    n.  The caller checks the limit."""
+    flags = (bytearray(2) + bytearray([1]) * (limit - 1))[: limit + 1]
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             start = p * p
             flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return PrimeTable(limit, tuple(i for i, f in enumerate(flags) if f))
+    return flags
 
 
 class PrimeSetSpec:

@@ -5,8 +5,11 @@ For a prime set P, the semigroup <P> is the set of natural numbers all of
 whose prime factors lie in P; it always contains 1 (the empty product).  Two
 independent backends produce the stream (n, mu(n)) in strictly increasing n:
 
-* ``sieve`` builds a smallest-prime-factor table up to x and derives
-  membership and mu in a single pass over 1..x;
+* ``sieve`` builds a code table with one byte per n up to x (see
+  ``_code_table``) by slice assignment over the multiples of each prime.
+  Every count and sum over <P> is read off the table at C speed with
+  ``bytes.count``, ``bytes.translate`` and ``itertools.compress``, and a
+  table built up to x answers every bound below x through its prefix;
 * ``heap``  (finite P only) generalises the classic merge generation of
   Hamming numbers: each member is extended by generators whose index is at
   least the largest one already used, so every member appears exactly once.
@@ -18,15 +21,18 @@ streams to be identical.
 from __future__ import annotations
 
 import heapq
-import math
-from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import partial
+from itertools import compress
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, ResourceError, UsageError
-from .primes import FinitePrimes, PrimeSetSpec, _member
+from .primes import FinitePrimes, PrimeSetSpec, _member, _prime_flags
 
-# Enumeration refuses to build factor tables beyond this point (~800 MB).
+# Enumeration refuses x beyond this point.  Building the code table holds
+# one byte per n for the table and one for the prime flags it walks, plus
+# transient slice copies of at most x/2 bytes each (the multiples of 2 and
+# their translation): about 3 bytes per n, 300 MB at the ceiling.
 MAX_ENUM_LIMIT = 10**8
 
 # auto backend: the heap is memory-light for sparse semigroups, the sieve is
@@ -34,11 +40,21 @@ MAX_ENUM_LIMIT = 10**8
 _AUTO_HEAP_MAX_PRIMES = 8
 _AUTO_HEAP_MIN_X = 10**6
 
+# Table codes: 0 = not in <P>, 1 = mu +1, 2 = mu -1, 3 = member with mu 0.
+# Translations act on codes 0..3 only; the other 252 entries are padding.
+_FLIP = bytes((0, 2, 1, 3)) + bytes(252)  # one more prime factor
+_SQUARE = bytes((0, 3, 3, 3)) + bytes(252)  # a square factor
+_SQUAREFREE = bytes((0, 1, 1, 0)) + bytes(252)  # nonzero mu
+_MU = (0, 1, -1, 0)
 
-@dataclass(frozen=True)
-class SemigroupTerm:
+
+class SemigroupTerm(NamedTuple):
     n: int
     mu: int
+
+
+# Builds a term from an (n, mu) pair without a Python-level call.
+_term = partial(tuple.__new__, SemigroupTerm)
 
 
 @dataclass(frozen=True)
@@ -67,54 +83,67 @@ def mobius(n: int) -> int:
     return result
 
 
-def _smallest_factor_table(x: int) -> array:
-    """spf[n] = smallest prime factor of n for 2 <= n <= x (spf[n] == n marks
-    primes)."""
-    spf = array("q", range(x + 1))
-    for p in range(2, math.isqrt(x) + 1):
-        if spf[p] == p:
-            for m in range(p * p, x + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
+def check_enum_limit(x: int) -> None:
+    """The enumeration bound check shared by every route, made before any
+    table is built: DomainError below 0, ResourceError above the ceiling."""
+    if x < 0:
+        raise DomainError(f"enumeration bound must be >= 0, got {x}")
+    if x > MAX_ENUM_LIMIT:
+        raise ResourceError(
+            f"enumeration up to {x} exceeds the configured ceiling {MAX_ENUM_LIMIT}"
+        )
 
 
-def _sieve_stream(
-    member: Callable[[int], bool], x: int, squarefree_only: bool
-) -> Iterator[SemigroupTerm]:
-    """One pass over 1..x deriving membership and mu from the factor table."""
-    if x >= 1:
-        yield SemigroupTerm(1, 1)
-    if x < 2:
-        return
-    spf = _smallest_factor_table(x)
-    in_set = bytearray(x + 1)
-    for p in range(2, x + 1):
-        if spf[p] == p:
-            in_set[p] = member(p)
-    for n in range(2, x + 1):
-        m = n
-        mu = 1
-        while m > 1:
-            p = spf[m]
-            if not in_set[p]:
-                mu = 2  # sentinel: some factor lies outside P
-                break
-            m //= p
-            if m % p == 0:
-                mu = 0
-                while m % p == 0:
-                    m //= p
-            else:
-                mu = -mu
-        if mu == 2 or (squarefree_only and mu == 0):
-            continue
-        yield SemigroupTerm(n, mu)
+def _code_table(member: Callable[[int], bool], x: int) -> bytearray:
+    """Codes of 0..x for the semigroup of the primes accepted by ``member``.
+
+    Every n starts as mu +1.  For each prime p <= x in turn: a member flips
+    the sign of its multiples and sets its square's multiples to mu 0; a
+    non-member zeroes its multiples.  Zero is fixed by both translations and
+    3 by the flip, so the order of the primes does not matter.
+    """
+    check_enum_limit(x)
+    table = bytearray(b"\x01") * (x + 1)
+    table[0] = 0
+    for p in compress(range(x + 1), _prime_flags(x)):
+        if member(p):
+            table[p::p] = table[p::p].translate(_FLIP)
+            square = p * p
+            if square <= x:
+                table[square::square] = table[square::square].translate(_SQUARE)
+        else:
+            table[p::p] = bytes(x // p)
+    return table
+
+
+def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
+    """The code table of <P> up to x."""
+    return _code_table(partial(_member, spec), x)
+
+
+def complement_table(spec: PrimeSetSpec, x: int) -> bytearray:
+    """The code table of <P'> up to x, built from the negated membership
+    predicate rather than from the table of <P>."""
+    return _code_table(lambda p: not _member(spec, p), x)
+
+
+def table_terms(table: bytearray, x: int, squarefree_only: bool) -> Iterator[tuple[int, int]]:
+    """(n, mu(n)) for the members n <= x of a code table, ascending; with
+    squarefree_only, the mu == 0 members are left out."""
+    mask = table.translate(_SQUAREFREE) if squarefree_only else table
+    return zip(compress(range(x + 1), mask), map(_MU.__getitem__, compress(table, mask)))
+
+
+def table_tally(table: bytearray, x: int) -> tuple[int, int]:
+    """(#members, sum of mu) over 1 <= n <= x of a code table."""
+    mobius_total = table.count(1, 0, x + 1) - table.count(2, 0, x + 1)
+    return x + 1 - table.count(0, 0, x + 1), mobius_total  # table[0] == 0
 
 
 def _heap_stream(primes: tuple[int, ...], x: int, squarefree_only: bool) -> Iterator[SemigroupTerm]:
     """Merge generation for finite P: pop the smallest member, extend it by
-    generators with index >= the largest index already used."""
+    generators with index >= the largest index already used.  Ascending real
+    generators > 1 work too; each product is then formed in index order."""
     if x >= 1:
         yield SemigroupTerm(1, 1)
     gens = [p for p in primes if p <= x]
@@ -155,43 +184,43 @@ def enumerate_terms(
     """Yield every n in <P> with n <= x exactly once, in strictly increasing
     order, paired with mu(n).  With squarefree_only, mu == 0 terms are
     omitted.  x = 0 yields an empty stream."""
-    if x < 0:
-        raise DomainError(f"enumeration bound must be >= 0, got {x}")
-    if x > MAX_ENUM_LIMIT:
-        raise ResourceError(
-            f"enumeration up to {x} exceeds the configured ceiling {MAX_ENUM_LIMIT}"
-        )
+    check_enum_limit(x)
     backend = _resolve_backend(spec, x, options.backend)
     if backend == "heap":
         assert isinstance(spec, FinitePrimes)
         return _heap_stream(spec.primes, x, options.squarefree_only)
-    return _sieve_stream(lambda p: _member(spec, p), x, options.squarefree_only)
+    return map(_term, table_terms(member_table(spec, x), x, options.squarefree_only))
 
 
-def _squarefree_terms(spec: PrimeSetSpec, x: int) -> Iterator[SemigroupTerm]:
-    """Nonzero-mu members of <P> up to x, ascending; finite sets skip the
-    sieve since they have at most 2**|P| squarefree members."""
+def squarefree_terms(spec: PrimeSetSpec, x: int) -> Iterator[tuple[int, int]]:
+    """(n, mu(n)) for the nonzero-mu members of <P> up to x, ascending;
+    finite sets skip the table since they have at most 2**|P| squarefree
+    members."""
     if isinstance(spec, FinitePrimes):
         return _heap_stream(spec.primes, x, True)
-    return _sieve_stream(lambda p: _member(spec, p), x, True)
+    return table_terms(member_table(spec, x), x, True)
+
+
+def tally(spec: PrimeSetSpec, x: int) -> tuple[int, int]:
+    """(#{n <= x : n in <P>}, sum of mu(n) over those n) by the auto
+    backend."""
+    check_enum_limit(x)
+    if _resolve_backend(spec, x, "auto") == "heap":
+        mus = [t.mu for t in enumerate_terms(spec, x)]
+        return len(mus), sum(mus)
+    return table_tally(member_table(spec, x), x)
 
 
 def count_members(spec: PrimeSetSpec, x: int) -> int:
     """#{n <= x : n in <P>}."""
-    return sum(1 for _ in enumerate_terms(spec, x))
+    return tally(spec, x)[0]
 
 
 def count_members_outside(spec: PrimeSetSpec, x: int) -> int:
     """#{n <= x : every prime factor of n lies outside P} -- the size of the
-    complementary semigroup <P'> up to x, computed from the complement
-    membership predicate directly rather than by subtraction."""
-    if x < 0:
-        raise DomainError(f"enumeration bound must be >= 0, got {x}")
-    if x > MAX_ENUM_LIMIT:
-        raise ResourceError(
-            f"enumeration up to {x} exceeds the configured ceiling {MAX_ENUM_LIMIT}"
-        )
-    return sum(1 for _ in _sieve_stream(lambda p: not _member(spec, p), x, False))
+    complementary semigroup <P'> up to x, counted on the complement table
+    rather than by subtraction."""
+    return table_tally(complement_table(spec, x), x)[0]
 
 
 def density(spec: PrimeSetSpec, x: int) -> float:

@@ -22,10 +22,10 @@ where P' is the complement of P in the primes.
 
 Exact mode accumulates ``fractions.Fraction`` values term by term in
 increasing n (reduced at every step); float mode uses ``math.fsum`` over the
-same ordering, whose error is far below the documented certificate
-``4 * x * ulp(1)``.  Every report carries the bound verdict; a false verdict
-means a theorem has been falsified and is escalated by the CLI, never
-silently dropped.
+same terms, which is correctly rounded whatever their order, so its error
+is far below the documented certificate ``4 * x * ulp(1)``.  Every report
+carries the bound verdict; a false verdict means a theorem has been
+falsified and is escalated by the CLI, never silently dropped.
 """
 
 from __future__ import annotations
@@ -33,18 +33,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from operator import truediv
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, UsageError
-from .primes import CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
-from .semigroup import (
-    MAX_ENUM_LIMIT,
-    _sieve_stream,
-    _squarefree_terms,
-    count_members_outside,
-    mobius,
-)
+from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
+from .semigroup import check_enum_limit, count_members_outside, member_table, mobius
+from .semigroup import squarefree_terms, table_terms
 
 # Exact summation keeps the running value as a reduced fraction whose
 # denominator divides lcm(1..x); at x = 1e5 that is ~43000 decimal digits,
@@ -98,12 +95,10 @@ def format_rational(q: Fraction) -> str:
     """Serialise as "numerator/denominator" in lowest terms.
 
     Exact denominators grow to tens of thousands of digits, beyond the
-    interpreter's default int-to-str ceiling, so the ceiling is raised first.
+    interpreter's default int-to-str limit; ``Decimal`` converts them
+    without that limit, so the interpreter-wide setting is left alone.
     """
-    digits = max(q.numerator.bit_length(), q.denominator.bit_length()) // 3 + 10
-    if digits > sys.get_int_max_str_digits() > 0:
-        sys.set_int_max_str_digits(digits)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def _validate_mode_and_x(mode: str, x: int) -> None:
@@ -115,41 +110,28 @@ def _validate_mode_and_x(mode: str, x: int) -> None:
         raise UsageError(
             f"exact mode is limited to x <= {EXACT_CEILING}; use float mode for x = {x}"
         )
-    if x > MAX_ENUM_LIMIT:
-        raise DomainError(f"x = {x} exceeds the enumeration ceiling {MAX_ENUM_LIMIT}")
+    check_enum_limit(x)
 
 
 def _report(params: str, x: int, mode: str, terms: Iterable[Term]) -> SumReport:
-    if mode == "exact":
-        total = Fraction(0)
-        count = 0
+    count = 0
+
+    def contributions(convert):
+        nonlocal count
         for _, num, den in terms:
             if num:
-                total += Fraction(num, den)
                 count += 1
-        return SumReport(
-            params=params,
-            x=x,
-            mode=mode,
-            value_exact=total,
-            value_float=float(total),
-            float_error_bound=0.0,
-            term_count=count,
-            bound_ok=abs(total) <= 1,
-        )
-    floats = [num / den for _, num, den in terms if num]
-    value = math.fsum(floats)
-    bound = FLOAT_ERROR_PER_TERM * x
-    return SumReport(
-        params=params,
-        x=x,
-        mode=mode,
-        value_exact=None,
-        value_float=value,
-        float_error_bound=bound,
-        term_count=len(floats),
-        bound_ok=abs(value) <= 1.0 + bound,
-    )
+                yield convert(num, den)
+
+    if mode == "exact":
+        total = sum(contributions(Fraction), Fraction(0))
+        value, bound, bound_ok = float(total), 0.0, abs(total) <= 1
+    else:
+        total = None
+        value = math.fsum(contributions(truediv))
+        bound = FLOAT_ERROR_PER_TERM * x
+        bound_ok = abs(value) <= 1.0 + bound
+    return SumReport(params, x, mode, total, value, bound, count, bound_ok)
 
 
 def partial_sum(spec: PrimeSetSpec, x: int, mode: str = "exact") -> SumReport:
@@ -161,14 +143,17 @@ def partial_sum(spec: PrimeSetSpec, x: int, mode: str = "exact") -> SumReport:
     generating set.
     """
     _validate_mode_and_x(mode, x)
-    terms = ((t.n, t.mu, t.n) for t in _squarefree_terms(spec, x))
-    return _report(render_spec(spec), x, mode, terms)
+    return _report(render_spec(spec), x, mode, _terms(squarefree_terms(spec, x)))
+
+
+def _terms(pairs: Iterable[tuple[int, int]]) -> Iterator[Term]:
+    """The terms mu(n)/n of ascending (n, mu(n)) pairs."""
+    return ((n, mu, n) for n, mu in pairs)
 
 
 def _mu_stream(x: int) -> Iterator[tuple[int, int]]:
-    """(n, mu(n)) for squarefree 1 <= n <= x via the factor-table walk."""
-    for t in _sieve_stream(lambda p: True, x, True):
-        yield t.n, t.mu
+    """(n, mu(n)) for squarefree 1 <= n <= x, from the table of all primes."""
+    return table_terms(member_table(AllPrimes(), x), x, True)
 
 
 def partial_sum_coprime(P: int, x: int, mode: str = "exact") -> SumReport:
@@ -245,7 +230,7 @@ def zorn_check(spec: PrimeSetSpec, x: int) -> ZornIdentity:
     if x < 1:
         raise DomainError(f"zorn identity requires x >= 1, got {x}")
     lhs = count_members_outside(spec, x)
-    rhs = sum(t.mu * (x // t.n) for t in _squarefree_terms(spec, x))
+    rhs = sum(mu * (x // n) for n, mu in squarefree_terms(spec, x))
     return ZornIdentity(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
@@ -300,32 +285,11 @@ class WeightFunction:
         return f"weights:default={self.default_value};{pairs}"
 
 
-def _weighted_terms_default_zero(a: WeightFunction, x: int) -> list[Term]:
-    # Unassigned primes weigh 0, so only the semigroup generated by the
-    # assigned support contributes; walk its squarefree subsets.
-    support = sorted(a.assignments)
-    found: list[Term] = []
-
-    def extend(idx: int, n: int, weight: Fraction, mu: int):
-        found.append((n, mu * weight.numerator, n * weight.denominator))
-        for k in range(idx, len(support)):
-            p = support[k]
-            if n * p > x:
-                break
-            extend(k + 1, n * p, weight * a.assignments[p], -mu)
-
-    if x >= 1:
-        extend(0, 1, Fraction(1), 1)
-    found.sort(key=lambda term: term[0])
-    return found
-
-
-def _weighted_terms_default_one(a: WeightFunction, x: int) -> Iterator[Term]:
-    # Every squarefree n <= x contributes; only the finitely many assigned
-    # primes can scale a term, so divisibility by each of them is checked
-    # instead of factorising n.
+def _weighted_terms(pairs: Iterable[tuple[int, int]], a: WeightFunction) -> Iterator[Term]:
+    # Only the finitely many assigned primes can scale a term, so
+    # divisibility by each of them is checked instead of factorising n.
     assigned = sorted(a.assignments.items())
-    for n, mu in _mu_stream(x):
+    for n, mu in pairs:
         num, den = mu, n
         for p, w in assigned:
             if n % p == 0:
@@ -343,11 +307,13 @@ def weighted_partial_sum(a: WeightFunction, x: int, mode: str = "exact") -> SumR
     each a(p).
     """
     _validate_mode_and_x(mode, x)
+    # Unassigned primes weigh the default: with 0 only the semigroup of the
+    # assigned support contributes, with 1 every squarefree n <= x does.
     if a.default_value == 0:
-        terms: Iterable[Term] = _weighted_terms_default_zero(a, x)
+        pairs = squarefree_terms(FinitePrimes(tuple(a.assignments)), x)
     else:
-        terms = _weighted_terms_default_one(a, x)
-    return _report(repr(a), x, mode, terms)
+        pairs = _mu_stream(x)
+    return _report(repr(a), x, mode, _weighted_terms(pairs, a))
 
 
 def spec_of_coprime_modulus(P: int) -> PrimeSetSpec:

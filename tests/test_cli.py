@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 
 import pytest
 
 from musum.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     run,
 )
+from musum.semigroup import MAX_ENUM_LIMIT
 from musum.sweeps import SWEEP_KINDS, replay_instances, run_sweep
 
 
@@ -79,6 +82,13 @@ class TestDomainErrors:
         code, _, err = _run(capsys, "beurling", "--generators", "0.9", "--x", "1.0")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("generators", ["1.1,nan", "1.1,inf"])
+    def test_beurling_nonfinite_generator(self, capsys, generators):
+        code, out, err = _run(capsys, "beurling", "--generators", generators, "--x", "2")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("domain error:")
+
     def test_blowup_zero_t(self, capsys):
         code, _, err = _run(capsys, "blowup", "--t", "0", "--shift", "0",
                             "--eps", "0.5,0.2", "--prime-limit", "100")
@@ -146,6 +156,50 @@ class TestFormats:
         assert "resource error" in err
 
 
+_OVER = str(MAX_ENUM_LIMIT + 1)
+
+
+class TestEnumerationCeiling:
+    """One above the enumeration ceiling, every route exits 4 before it
+    builds a table (which would take a byte per n, 100 MB)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sum", "--set", "all", "--x", _OVER, "--mode", "float"),
+            ("sum", "--set", "finite:2,3", "--x", _OVER, "--mode", "float"),
+            ("coprime", "--p", "6", "--x", _OVER, "--mode", "float"),
+            ("divisors", "--n", "12", "--x", _OVER, "--mode", "float"),
+            ("shifted", "--m", "5", "--x", _OVER, "--mode", "float"),
+            ("weighted", "--weights", "2=1/2", "--default", "1", "--x", _OVER,
+             "--mode", "float"),
+            ("semiprime", "--x", _OVER, "--mode", "float"),
+            ("enumerate", "--set", "all", "--x", _OVER),
+            ("zorn", "--set", "all", "--x", _OVER),
+            ("density", "--set", "all", "--x", _OVER),
+            ("mean-mobius", "--set", "all", "--x", _OVER),
+            ("mertens", "--x", _OVER),
+            ("converge", "--set", "all", "--x-grid", _OVER),
+            ("converge", "--set", "all", "--x-grid", f"10,{_OVER}"),
+            ("gran", "--set", "all", "--x-grid", _OVER),
+            ("gran", "--set", "all", "--x-grid", f"10,{_OVER}"),
+        ],
+    )
+    def test_exit_four_without_a_table(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = run(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == EXIT_RESOURCE
+        assert captured.out == ""
+        assert captured.err.startswith("resource error:")
+        assert "Traceback" not in captured.err
+        assert peak < 4 * 2**20
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -185,6 +239,14 @@ class TestSweeps:
         assert replayed["kind"] == "replay"
         assert replayed["trials"] == 15
         assert replayed["passed"] == 15
+
+    def test_unwritable_dump_is_resource_error(self, capsys, tmp_path):
+        dump = tmp_path / "missing" / "instances.json"
+        code, _, err = _run(capsys, "sweep", "--kind", "theorem1", "--trials", "3",
+                            "--seed", "1", "--dump", str(dump))
+        assert code == EXIT_RESOURCE
+        assert err.startswith("resource error:")
+        assert "Traceback" not in err
 
     def test_python_api_replay_matches(self):
         result = run_sweep("mock", 30, 11)

@@ -227,6 +227,11 @@ class TestBeurling:
         with pytest.raises(DomainError):
             BeurlingSystem(tuple(1.0 + k / 10 for k in range(1, 14)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_generator_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            BeurlingSystem((1.1, bad))
+
     def test_against_exhaustive_subsets(self):
         import itertools
 

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from musum.errors import DomainError, UsageError
-from musum.primes import AllPrimes, CofinitePrimes, FinitePrimes, IntervalPrimes
+from musum.experiments import mean_mobius
+from musum.primes import (
+    AllPrimes,
+    CofinitePrimes,
+    FinitePrimes,
+    IntervalPrimes,
+    LogFracPrimes,
+    ResiduePrimes,
+    is_member,
+)
 from musum.semigroup import (
     EnumerationOptions,
     SemigroupTerm,
@@ -160,3 +169,59 @@ class TestCounts:
         assert count_members_outside(FinitePrimes((2, 3)), 10) == 3
         # Complement of the full prime set is the trivial semigroup {1}.
         assert count_members_outside(AllPrimes(), 57) == 1
+
+
+# One spec of each of the six forms, with a membership predicate written
+# independently of the library (the log-fraction rule has no simpler form).
+_LOGFRAC = LogFracPrimes(5.0, 0.2, 0.3)
+SPEC_FORMS = [
+    (AllPrimes(), lambda p: True),
+    (FinitePrimes((2, 3, 7)), lambda p: p in (2, 3, 7)),
+    (CofinitePrimes((2, 5)), lambda p: p not in (2, 5)),
+    (IntervalPrimes(3.0, 40.0), lambda p: 3 < p <= 40),
+    (ResiduePrimes(1, 4), lambda p: p % 4 == 1),
+    (_LOGFRAC, lambda p: is_member(_LOGFRAC, p)),
+]
+TABLE_XS = (0, 1, 2, 3, 4, 8, 9, 24, 25, 1000, 9973)
+_ORACLE_X = max(TABLE_XS)
+_ORACLE = {}
+
+
+def _oracle(index, x, complement=False):
+    """The brute-force members of the index-th spec form (or of its
+    complement) up to x, as a prefix of one oracle run at _ORACLE_X."""
+    key = (index, complement)
+    if key not in _ORACLE:
+        pred = SPEC_FORMS[index][1]
+        member = (lambda p: not pred(p)) if complement else pred
+        _ORACLE[key] = semigroup_members(member, _ORACLE_X)
+    return [(n, mu) for n, mu in _ORACLE[key] if n <= x]
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_FORMS)))
+class TestCodeTableAgainstOracle:
+    def test_terms(self, index):
+        spec = SPEC_FORMS[index][0]
+        for x in TABLE_XS:
+            want = _oracle(index, x)
+            assert _stream(spec, x, backend="sieve") == want, x
+            squarefree = [(n, mu) for n, mu in want if mu]
+            assert _stream(spec, x, backend="sieve", squarefree_only=True) == squarefree, x
+
+    def test_counts(self, index):
+        spec = SPEC_FORMS[index][0]
+        for x in TABLE_XS:
+            members = _oracle(index, x)
+            assert count_members(spec, x) == len(members), x
+            assert count_members_outside(spec, x) == len(_oracle(index, x, True)), x
+            if x >= 1:
+                assert mean_mobius(spec, x) == sum(mu for _, mu in members) / x, x
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=_ORACLE_X))
+    def test_random_bounds(self, index, x):
+        spec = SPEC_FORMS[index][0]
+        members = _oracle(index, x)
+        assert _stream(spec, x, backend="sieve") == members
+        assert count_members(spec, x) == len(members)
+        assert count_members_outside(spec, x) == len(_oracle(index, x, True))

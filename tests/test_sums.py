@@ -1,17 +1,27 @@
+import json
 import math
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from musum import cli
 from musum.errors import DomainError, UsageError
+from musum.experiments import EULER_MASCHERONI, convergence_table, gran_residual
 from musum.primes import (
     AllPrimes,
     CofinitePrimes,
     FinitePrimes,
     IntervalPrimes,
+    LogFracPrimes,
     ResiduePrimes,
+    is_member,
 )
+from musum.semigroup import count_members_outside, enumerate_terms
 from musum.sums import (
     EXACT_CEILING,
     SumReport,
@@ -32,6 +42,7 @@ from oracles import (
     factorize,
     mobius_bruteforce,
     partial_sum_bruteforce,
+    semigroup_members,
     totient_table,
     trial_division_primes,
 )
@@ -304,6 +315,24 @@ def test_format_rational():
     assert format_rational(Fraction(5)) == "5/1"
 
 
+def test_format_rational_leaves_the_int_str_limit_alone():
+    limit = sys.get_int_max_str_digits()
+    value = partial_sum(AllPrimes(), 2 * 10**4).value_exact
+    num, den = format_rational(value).split("/")
+    assert len(den) > limit
+    assert (Decimal(num), Decimal(den)) == (value.numerator, value.denominator)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_exact_cli_sum_leaves_the_int_str_limit_alone(capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ["sum", "--set", "all", "--x", "50000", "--mode", "exact", "--format", "json"]
+    assert cli.run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["value_exact"]) > limit
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_format_rational_handles_huge_denominators():
     value = partial_sum(AllPrimes(), 10**4).value_exact
     text = format_rational(value)
@@ -316,3 +345,65 @@ def test_exact_report_floats_are_roundings():
     report = partial_sum(CofinitePrimes((2,)), 999)
     assert report.value_float == float(report.value_exact)
     assert report.float_error_bound == 0.0
+
+
+# One spec of each of the six forms, with a membership predicate written
+# independently of the library (the log-fraction rule has no simpler form).
+_LOGFRAC = LogFracPrimes(5.0, 0.2, 0.3)
+SPEC_FORMS = [
+    (AllPrimes(), lambda p: True),
+    (FinitePrimes((2, 3, 7)), lambda p: p in (2, 3, 7)),
+    (CofinitePrimes((2, 5)), lambda p: p not in (2, 5)),
+    (IntervalPrimes(3.0, 40.0), lambda p: 3 < p <= 40),
+    (ResiduePrimes(1, 4), lambda p: p % 4 == 1),
+    (_LOGFRAC, lambda p: is_member(_LOGFRAC, p)),
+]
+TABLE_XS = (0, 1, 2, 3, 4, 8, 9, 24, 25, 1000, 9973)
+_ORACLE_X = max(TABLE_XS)
+_ORACLE = {}
+
+
+def _oracle_terms(index, x):
+    """The nonzero terms (n, mu) of the index-th spec form up to x, by
+    trial division, as a prefix of one oracle run at _ORACLE_X."""
+    if index not in _ORACLE:
+        members = semigroup_members(SPEC_FORMS[index][1], _ORACLE_X)
+        _ORACLE[index] = [(n, mu) for n, mu in members if mu]
+    return [(n, mu) for n, mu in _ORACLE[index] if n <= x]
+
+
+def _check_sums(index, x):
+    spec = SPEC_FORMS[index][0]
+    terms = _oracle_terms(index, x)
+    approx = partial_sum(spec, x, mode="float")
+    assert approx.value_float.hex() == math.fsum(mu / n for n, mu in terms).hex(), x
+    assert approx.term_count == len(terms), x
+    exact = partial_sum(spec, x, mode="exact")
+    assert exact.value_exact == sum(Fraction(mu, n) for n, mu in terms), x
+    assert exact.term_count == len(terms), x
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_FORMS)))
+class TestSumsAgainstOracle:
+    def test_fixed_bounds(self, index):
+        for x in TABLE_XS:
+            _check_sums(index, x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=_ORACLE_X))
+    def test_random_bounds(self, index, x):
+        _check_sums(index, x)
+
+    def test_grid_rows_match_single_points(self, index):
+        spec = SPEC_FORMS[index][0]
+        grid = [1, 2, 9, 25, 1000, 9973]
+        rows = convergence_table(spec, grid)
+        assert rows == [convergence_table(spec, [x])[0] for x in grid]
+        for row in rows:
+            assert row.sum_value == partial_sum(spec, row.x, mode="float").value_float
+        gran = gran_residual(spec, grid)
+        assert gran == [gran_residual(spec, [x])[0] for x in grid]
+        for row in gran:
+            mobius_total = sum(t.mu for t in enumerate_terms(spec, row.x))
+            assert row.count_term == count_members_outside(spec, row.x)
+            assert row.mertens_term == (1.0 - EULER_MASCHERONI) * mobius_total
