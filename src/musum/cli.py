@@ -24,6 +24,7 @@ theorem covers them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -236,6 +237,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Cached: building the 20 subparsers costs more than many whole commands,
+# and parse_args leaves the parser unchanged, so one serves every run().
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="musum",
@@ -659,6 +663,8 @@ def _cmd_sweep(args, fmt, out) -> int:
                 instances = json.load(handle)
         except OSError as exc:
             raise ResourceError(f"cannot read replay file: {exc}") from exc
+        except ValueError as exc:  # not UTF-8 text, or not JSON
+            raise UsageError(f"replay file {args.replay} is not valid JSON: {exc}") from None
         result = sweeps.replay_instances(instances)
     else:
         result = sweeps.run_sweep(args.kind, args.trials, args.seed)

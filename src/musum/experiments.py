@@ -139,6 +139,10 @@ class GranResidualRow:
 
 
 def gran_residual(spec: PrimeSetSpec, x_grid: list[int]) -> list[GranResidualRow]:
+    # Residuals are read relative to x, so x = 0 has no row.
+    for x in x_grid:
+        if x < 1:
+            raise DomainError(f"gran residuals need x >= 1, got {x}")
     inside = _checked_grid_table(spec, x_grid)
     outside = complement_table(spec, max(x_grid))
     rows = []

@@ -20,12 +20,16 @@ behind the proof of the bound:
 
 where P' is the complement of P in the primes.
 
-Exact mode accumulates ``fractions.Fraction`` values term by term in
-increasing n (reduced at every step); float mode uses ``math.fsum`` over the
-same terms, which is correctly rounded whatever their order, so its error
-is far below the documented certificate ``4 * x * ulp(1)``.  Every report
-carries the bound verdict; a false verdict means a theorem has been
-falsified and is escalated by the CLI, never silently dropped.
+Exact mode adds the terms as unreduced numerator/denominator pairs over a
+binary merge tree, built as a stream on a stack of at most log2(#terms)
+partial sums: each merge of two neighbouring sums divides out only the gcd
+of their denominators, so every denominator is the lcm of those below it,
+and one ``fractions.Fraction`` reduces the total at the end.  Float mode
+uses ``math.fsum`` over the same terms, which is correctly rounded whatever
+their order, so its error is far below the documented certificate
+``4 * x * ulp(1)``.  Every report carries the bound verdict; a false verdict
+means a theorem has been falsified and is escalated by the CLI, never
+silently dropped.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from operator import truediv
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, UsageError
@@ -43,11 +46,10 @@ from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_pr
 from .semigroup import check_enum_limit, count_members_outside, member_table, mobius
 from .semigroup import squarefree_terms, table_terms
 
-# Exact summation keeps the running value as a reduced fraction whose
-# denominator divides lcm(1..x); at x = 1e5 that is ~43000 decimal digits,
-# feasible but slow, so exact mode refuses larger x.  Finite prime sets are
-# not exempted even though their term count is tiny; the ceiling is a blunt
-# contract shared with the CLI.
+# Exact summation carries denominators that divide lcm(1..x); at x = 1e5
+# that is ~43000 decimal digits, so exact mode refuses larger x.  Finite
+# prime sets are not exempted even though their term count is tiny; the
+# ceiling is a blunt contract shared with the CLI.
 EXACT_CEILING = 10**5
 
 # One rounding per term, with generous slack; fsum actually stays within one
@@ -113,22 +115,52 @@ def _validate_mode_and_x(mode: str, x: int) -> None:
     check_enum_limit(x)
 
 
-def _report(params: str, x: int, mode: str, terms: Iterable[Term]) -> SumReport:
+def _merge_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """(num, den, count): the sum num/den of a stream of ``count`` pairs
+    (a, b) with b > 0, unreduced, with den the lcm of their b.
+
+    The pairs are merged on a stack in binary-counter order: after k pairs
+    the stack holds one partial sum per set bit i of k, the sum of 2**i
+    consecutive pairs, so at most log2(k) + 1 partial sums are alive.  A
+    merge of a/b and c/d divides out only gcd(b, d), so every denominator
+    is the lcm of the denominators below it; numerators are never reduced.
+    """
+    stack: list[tuple[int, int]] = []
     count = 0
+    for num, den in pairs:
+        count += 1
+        k = count
+        while not k & 1:
+            a, b = stack.pop()
+            g = math.gcd(b, den)
+            b //= g
+            num, den = a * (den // g) + num * b, b * den
+            k >>= 1
+        stack.append((num, den))
+    num, den = 0, 1
+    for a, b in reversed(stack):
+        g = math.gcd(b, den)
+        b //= g
+        num, den = a * (den // g) + num * b, b * den
+    return num, den, count
 
-    def contributions(convert):
-        nonlocal count
-        for _, num, den in terms:
-            if num:
-                count += 1
-                yield convert(num, den)
 
+def _report(params: str, x: int, mode: str, terms: Iterable[Term]) -> SumReport:
     if mode == "exact":
-        total = sum(contributions(Fraction), Fraction(0))
+        num, den, count = _merge_sum((a, b) for _, a, b in terms if a)
+        total = Fraction(num, den)  # the one reduction
         value, bound, bound_ok = float(total), 0.0, abs(total) <= 1
     else:
-        total = None
-        value = math.fsum(contributions(truediv))
+        total, count = None, 0
+
+        def quotients():
+            nonlocal count
+            for _, num, den in terms:
+                if num:
+                    count += 1
+                    yield num / den
+
+        value = math.fsum(quotients())
         bound = FLOAT_ERROR_PER_TERM * x
         bound_ok = abs(value) <= 1.0 + bound
     return SumReport(params, x, mode, total, value, bound, count, bound_ok)

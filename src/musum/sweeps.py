@@ -170,7 +170,10 @@ def check_instance(instance: dict) -> dict | None:
             return {**instance, "reason": f"{op} sum escaped the unit bound"}
         return None
     if kind == "weights":
-        assignments = {int(p): Fraction(v) for p, v in instance["weights"].items()}
+        try:
+            assignments = {int(p): Fraction(v) for p, v in instance["weights"].items()}
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise UsageError(f"weights must map primes to fractions: {instance!r}") from None
         a = WeightFunction(assignments, default_value=instance["default"])
         report = weighted_partial_sum(a, instance["x"], mode="exact")
         if not report.bound_ok:
@@ -206,9 +209,40 @@ def run_sweep(kind: str, trials: int, seed: int) -> SweepResult:
     return result
 
 
+# The fields check_instance reads from each kind of instance; a mock
+# instance also reads the operand its op names.
+_INSTANCE_FIELDS = {
+    "theorem1": {"set": str, "x": int},
+    "zorn": {"set": str, "x": int},
+    "mock": {"op": str, "x": int},
+    "weights": {"default": int, "weights": dict, "x": int},
+}
+_MOCK_OPERANDS = {"coprime": "P", "divisors": "N", "shifted": "m"}
+
+
+def _check_fields(instance) -> None:
+    """Raise UsageError unless a serialized instance carries every field
+    that checking it reads, with the type the generator writes."""
+    if not isinstance(instance, dict) or instance.get("kind") not in _INSTANCE_FIELDS:
+        raise UsageError(f"a sweep instance must be an object with a known kind, got {instance!r}")
+    fields = _INSTANCE_FIELDS[instance["kind"]]
+    if instance["kind"] == "mock":
+        if instance.get("op") not in _MOCK_OPERANDS:
+            raise UsageError(f"mock instance has an unknown op: {instance!r}")
+        fields = {**fields, _MOCK_OPERANDS[instance["op"]]: int}
+    for name, kind in fields.items():
+        if not isinstance(instance.get(name), kind):
+            raise UsageError(f"sweep instance field {name!r} must be {kind.__name__}: {instance!r}")
+
+
 def replay_instances(instances: list[dict]) -> SweepResult:
     """Re-check previously serialized instances; verdicts are deterministic,
-    so a replay reproduces the original outcome exactly."""
+    so a replay reproduces the original outcome exactly.  Malformed input
+    raises UsageError before any instance is checked."""
+    if not isinstance(instances, list):
+        raise UsageError(f"a replay must be a list of instances, got {type(instances).__name__}")
+    for instance in instances:
+        _check_fields(instance)
     result = SweepResult(kind="replay", trials=len(instances), seed=None, passed=0)
     for instance in instances:
         result.instances.append(instance)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import musum
+from musum import cli
 from musum.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -254,6 +260,80 @@ class TestSweeps:
         replay = replay_instances(result.instances)
         assert replay.passed == 30
         assert replay.failures == result.failures == []
+
+
+class TestParserReuse:
+    """run() builds its parser once per process; a sequence of commands
+    through one process must print what fresh processes print."""
+
+    SEQUENCE = [
+        ("sum", "--set", "all", "--x", "300", "--format", "json"),
+        ("--help",),
+        ("coprime", "--p", "6", "--x", "500", "--format", "csv"),
+        ("sum", "--set", "nonsense", "--x", "10"),
+        ("shifted", "--m", "4", "--x", "50"),
+        ("sum", "--help"),
+        ("sum", "--x", "10"),
+        ("weighted", "--weights", "2=1/3,5=1", "--x", "200", "--mode", "float",
+         "--format", "json"),
+        ("semiprime", "--x", "40", "--format", "csv"),
+        ("sweep", "--kind", "mock", "--trials", "5", "--seed", "2", "--format", "json"),
+        (),
+        ("gran", "--set", "all", "--x-grid", "10,100"),
+    ]
+
+    def test_one_process_matches_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+        in_process = [_run(capsys, *argv) for argv in self.SEQUENCE]
+        assert cli._build_parser() is cli._build_parser()
+        env = {**os.environ, "COLUMNS": "80",
+               "PYTHONPATH": str(Path(musum.__file__).resolve().parents[1])}
+        for argv, got in zip(self.SEQUENCE, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "musum.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes = [code for code, _, _ in in_process]
+        assert codes == [0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0]
+
+
+class TestBadInputExitCodes:
+    """Malformed input maps to its documented exit code, with no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, replay, code",
+        [
+            (("gran", "--set", "all", "--x-grid", "0,3"), None, EXIT_DOMAIN),
+            (("gran", "--set", "finite:2", "--x-grid", "0"), None, EXIT_DOMAIN),
+            (("sweep", "--kind", "theorem1"), b'[{"kind": "theorem1", ', EXIT_USAGE),
+            (("sweep", "--kind", "theorem1"), b'[{"kind": "theorem1", "x": 5}]', EXIT_USAGE),
+            (("sweep", "--kind", "theorem1"), b"\xff\xfe", EXIT_USAGE),
+            (("sweep", "--kind", "theorem1"), b'{"kind": "theorem1"}', EXIT_USAGE),
+            (("sweep", "--kind", "mock"), b'[{"kind": "mock", "op": "sum", "x": 5}]',
+             EXIT_USAGE),
+            (("sweep", "--kind", "mock"), b'[{"kind": "mock", "op": "divisors", "x": 5}]',
+             EXIT_USAGE),
+            (("sweep", "--kind", "zorn"), b'[{"kind": "zorn", "set": "all", "x": "5"}]',
+             EXIT_USAGE),
+            (("sweep", "--kind", "weights"), b'[{"kind": "weights", "default": 0, "x": 5}]',
+             EXIT_USAGE),
+            (("sweep", "--kind", "weights"),
+             b'[{"kind": "weights", "default": 0, "weights": {"2": "abc"}, "x": 5}]',
+             EXIT_USAGE),
+            (("sweep", "--kind", "weights"),
+             b'[{"kind": "weights", "default": 0, "weights": {"2": "1/0"}, "x": 5}]',
+             EXIT_USAGE),
+        ],
+    )
+    def test_documented_code_without_traceback(self, capsys, tmp_path, argv, replay, code):
+        if replay is not None:
+            path = tmp_path / "replay.json"
+            path.write_bytes(replay)
+            argv = (*argv, "--replay", str(path))
+        got, out, err = _run(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.startswith("domain error:" if code == EXIT_DOMAIN else "error:")
+        assert "Traceback" not in err
 
 
 class TestHelp:

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from musum import cli
 from musum.errors import DomainError, UsageError
-from musum.experiments import EULER_MASCHERONI, convergence_table, gran_residual
+from musum.experiments import (
+    EULER_MASCHERONI,
+    convergence_table,
+    gran_residual,
+    semiprime_sum,
+)
 from musum.primes import (
     AllPrimes,
     CofinitePrimes,
@@ -20,12 +25,15 @@ from musum.primes import (
     LogFracPrimes,
     ResiduePrimes,
     is_member,
+    parse_spec,
 )
 from musum.semigroup import count_members_outside, enumerate_terms
 from musum.sums import (
     EXACT_CEILING,
     SumReport,
     WeightFunction,
+    _merge_sum,
+    _report,
     euler_product,
     euler_product_partial,
     format_rational,
@@ -37,6 +45,7 @@ from musum.sums import (
     weighted_partial_sum,
     zorn_check,
 )
+from musum.sweeps import generate_instance
 
 from oracles import (
     factorize,
@@ -407,3 +416,121 @@ class TestSumsAgainstOracle:
             mobius_total = sum(t.mu for t in enumerate_terms(spec, row.x))
             assert row.count_term == count_members_outside(spec, row.x)
             assert row.mertens_term == (1.0 - EULER_MASCHERONI) * mobius_total
+
+
+# The merge tree in exact mode against the term-by-term Fraction sum it
+# replaced, which survives here only as the oracle.
+
+
+def _termwise(pairs):
+    return sum((Fraction(num, den) for num, den in pairs), Fraction(0))
+
+
+def _check_exact(report, pairs):
+    """An exact report against the oracle sum of its nonzero (num, den)."""
+    pairs = [(num, den) for num, den in pairs if num]
+    want = _termwise(pairs)
+    assert report.value_exact == want
+    assert report.value_float == float(want)
+    assert report.term_count == len(pairs)
+    assert report.bound_ok == (abs(want) <= 1)
+
+
+# Empty, one and two pairs, and each side of every power of two up to 2**7:
+# the lengths at which the stack merges all the way down or keeps an odd
+# entry on top.
+_STREAM_LENGTHS = sorted({0, 1, 2, 3} | {2**k + d for k in range(2, 8) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("length", _STREAM_LENGTHS)
+def test_merge_tree_stream_lengths(length):
+    rng = random.Random(length)
+    pairs = [(rng.choice((-3, -1, 1, 2)), rng.randrange(1, 60)) for _ in range(length)]
+    num, den, count = _merge_sum(iter(pairs))
+    assert Fraction(num, den) == _termwise(pairs)
+    assert count == length
+    # Each merge divides out the gcd of its two denominators, and only that.
+    assert den == math.lcm(*(b for _, b in pairs))
+    # Zero terms are skipped before the stack and not counted.
+    terms = []
+    for n, (num, den) in enumerate(pairs, 1):
+        terms += [(2 * n - 1, 0, den), (2 * n, num, den)]
+    _check_exact(_report("stream", 2 * length, "exact", iter(terms)), pairs)
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 30, 257, 2000])
+def test_merge_tree_coprime_and_shifted(x):
+    for P in (1, 6, 35, 2 * 3 * 5 * 7 * 11, 97):
+        want = [(mobius_bruteforce(n), n) for n in range(1, x + 1) if math.gcd(n, P) == 1]
+        _check_exact(partial_sum_coprime(P, x), want)
+    for m in (1, 2, 15, 4, 12, 49):
+        want = [(mobius_bruteforce(m * n), n) for n in range(1, x + 1)]
+        report = partial_sum_shifted(m, x)
+        _check_exact(report, want)
+        if mobius_bruteforce(m) == 0:
+            assert report.value_exact == Fraction(0)
+            assert report.term_count == 0
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 30, 210, 2310, 1024, 9240])
+def test_merge_tree_divisors(N):
+    for x in (1, 5, 100, N):
+        want = [(mobius_bruteforce(d), d) for d in range(1, min(x, N) + 1) if N % d == 0]
+        _check_exact(partial_sum_divisors(N, x), want)
+
+
+@pytest.mark.parametrize("default", [0, 1])
+@pytest.mark.parametrize(
+    "assignments",
+    [
+        {},
+        {2: 0, 3: 0},
+        {2: Fraction(1, 4), 3: Fraction(5, 8), 7: Fraction(2, 9)},
+        {5: Fraction(7, 12), 11: 0, 13: Fraction(1, 27)},
+        {2: 1, 3: Fraction(3, 4), 5: 0},
+    ],
+)
+def test_merge_tree_weighted(default, assignments):
+    a = WeightFunction(assignments, default_value=default)
+    for x in (1, 2, 90, 1500):
+        want = []
+        for n in range(1, x + 1):
+            weight = Fraction(1)
+            for p in factorize(n):
+                weight *= a.assignments.get(p, Fraction(default))
+            want.append((mobius_bruteforce(n) * weight.numerator, n * weight.denominator))
+        _check_exact(weighted_partial_sum(a, x), want)
+
+
+@pytest.mark.parametrize("x", [1, 5, 6, 7, 100, 3000])
+def test_merge_tree_semiprime(x):
+    want = [(1, n) for n in range(1, x + 1) if mobius_bruteforce(n) == 1]
+    _check_exact(semiprime_sum(x), want)
+
+
+def _sweep_route(instance, mode):
+    """The sum a theorem1, mock or weights sweep instance checks, in mode."""
+    x = instance["x"]
+    if instance["kind"] == "theorem1":
+        return partial_sum(parse_spec(instance["set"]), x, mode)
+    if instance["kind"] == "weights":
+        weights = {int(p): Fraction(v) for p, v in instance["weights"].items()}
+        return weighted_partial_sum(WeightFunction(weights, instance["default"]), x, mode)
+    route = {"coprime": (partial_sum_coprime, "P"), "divisors": (partial_sum_divisors, "N"),
+             "shifted": (partial_sum_shifted, "m")}
+    fn, key = route[instance["op"]]
+    return fn(instance[key], x, mode)
+
+
+@pytest.mark.parametrize("kind", ["theorem1", "mock", "weights"])
+def test_float_certificate_bounds_the_true_error(kind):
+    # The documented certificate 4 * x * ulp(1) against the exact error of
+    # the float value, compared as rationals.
+    rng = random.Random(f"certificate:{kind}")
+    for _ in range(100):
+        instance = generate_instance(kind, rng)
+        approx = _sweep_route(instance, "float")
+        exact = _sweep_route(instance, "exact")
+        assert approx.term_count == exact.term_count, instance
+        error = abs(Fraction(approx.value_float) - exact.value_exact)
+        assert error <= Fraction(approx.float_error_bound), instance
