@@ -19,6 +19,9 @@ arguments and seed the emitted bytes are identical run to run.
 The semiprime and Beurling subcommands report bound violations as results,
 not failures: those systems are the documented counterexamples, and no
 theorem covers them.
+
+Each subcommand is one entry of ``_COMMANDS``: its handler, help text and
+arguments.  Handlers return a ``Report``, which ``run`` writes.
 """
 
 from __future__ import annotations
@@ -28,32 +31,17 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import experiments, sweeps
-from .errors import (
-    DomainError,
-    ResourceError,
-    SpecParseError,
-    UsageError,
-    VerificationError,
-)
-from .primes import parse_spec
+from .errors import DomainError, ResourceError, SpecParseError, UsageError, VerificationError
+from .primes import AllPrimes, parse_spec
 from .semigroup import EnumerationOptions, density, enumerate_terms
-from .sums import (
-    SumReport,
-    WeightFunction,
-    euler_product,
-    euler_product_partial,
-    format_rational,
-    partial_sum,
-    partial_sum_coprime,
-    partial_sum_divisors,
-    partial_sum_shifted,
-    weighted_partial_sum,
-    zorn_check,
-)
+from .sums import (WeightFunction, euler_product, euler_product_partial, format_rational,
+                   partial_sum, partial_sum_coprime, partial_sum_divisors, partial_sum_shifted,
+                   weighted_partial_sum, zorn_check)
 from .zeta import blowup_scan, gs_constant, log_identity_residual, zeta_p
 
 EXIT_OK = 0
@@ -65,23 +53,25 @@ EXIT_RESOURCE = 4
 FORMATS = ("plain", "csv", "json")
 
 
-def _fmt_float(value: float) -> str:
-    return f"{value:.17g}"
+def _scalar(value: Any) -> Any:
+    """The number rule every format shares: floats with 17 significant
+    digits, rationals as "numerator/denominator"; other values as given."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return value
 
 
 def _json_value(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, Fraction):
-        return json.dumps(format_rational(value))
-    if isinstance(value, str):
-        return json.dumps(value)
     if value is None:
         return "null"
+    if isinstance(value, (int, float)):
+        return str(_scalar(value))
+    if isinstance(value, (str, Fraction)):
+        return json.dumps(_scalar(value))
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_json_value(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -89,58 +79,46 @@ def _json_value(value: Any) -> str:
     raise TypeError(f"cannot serialise {type(value).__name__}")
 
 
-def _emit_json(payload: dict) -> str:
-    return _json_value(payload) + "\n"
-
-
 def _csv_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if value is None:
         return ""
-    return str(value)
+    return str(_scalar(value))
 
 
-def _emit_csv(header: list[str], rows: list[list[Any]]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _emit_plain(pairs: list[tuple[str, Any]]) -> str:
-    width = max((len(k) for k, _ in pairs), default=0)
-    lines = []
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = _fmt_float(value)
-        elif isinstance(value, Fraction):
-            value = format_rational(value)
-        lines.append(f"{key.ljust(width)}  {value}")
-    return "\n".join(lines) + "\n"
-
-
+@dataclass
 class Report:
-    """Bundle of the three renderings of one result."""
+    """One result in the three formats: plain text lists ``pairs``, CSV
+    writes ``records`` under the header ``columns``, JSON writes
+    ``payload``.  Left out, the records are the pairs as one record, the
+    columns are its keys and the payload is the pairs as one object.
+    ``failure``, if set, is raised once the report is written."""
 
-    def __init__(self, pairs: list[tuple[str, Any]], header: list[str] | None = None,
-                 rows: list[list[Any]] | None = None, payload: dict | None = None):
-        self.pairs = pairs
-        self.header = header if header is not None else [k for k, _ in pairs]
-        self.rows = rows if rows is not None else [[v for _, v in pairs]]
-        self.payload = payload if payload is not None else dict(pairs)
+    pairs: list[tuple[str, Any]]
+    payload: dict | None = None
+    records: list[dict] | None = None
+    columns: list[str] | None = None
+    failure: VerificationError | None = None
+
+    def __post_init__(self):
+        if self.records is None:
+            self.records = [dict(self.pairs)]
+        if self.columns is None:
+            self.columns = list(self.records[0])
+        if self.payload is None:
+            self.payload = dict(self.pairs)
 
     def render(self, fmt: str) -> str:
-        if fmt == "plain":
-            return _emit_plain(self.pairs)
-        if fmt == "csv":
-            return _emit_csv(self.header, self.rows)
         if fmt == "json":
-            return _emit_json(self.payload)
-        raise UsageError(f"unknown format {fmt!r}")
+            return _json_value(self.payload) + "\n"
+        if fmt == "csv":
+            lines = [",".join(self.columns)]
+            lines += [",".join(_csv_cell(r[c]) for c in self.columns) for r in self.records]
+        else:
+            width = max((len(k) for k, _ in self.pairs), default=0)
+            lines = [f"{k.ljust(width)}  {_scalar(v)}" for k, v in self.pairs]
+        return "\n".join(lines) + "\n"
 
 
 def emit(report: Report, fmt: str, out: str) -> None:
@@ -155,29 +133,17 @@ def emit(report: Report, fmt: str, out: str) -> None:
         raise ResourceError(f"cannot write to {out}: {exc}") from exc
 
 
-def _sum_report(report: SumReport) -> Report:
-    pairs = [
-        ("params", report.params),
-        ("x", report.x),
-        ("mode", report.mode),
-        ("value_exact", report.value_exact),
-        ("value_float", report.value_float),
-        ("float_error_bound", report.float_error_bound),
-        ("term_count", report.term_count),
-        ("bound_ok", report.bound_ok),
-    ]
-    payload = dict(pairs)
-    payload["value_exact"] = (
-        format_rational(report.value_exact) if report.value_exact is not None else None
-    )
-    return Report(pairs, payload=payload)
+def _fields_report(result: Any) -> Report:
+    """A result dataclass as one record, its fields in declared order."""
+    return Report([(f.name, getattr(result, f.name)) for f in fields(result)])
 
 
 def _experiment_report(experiment: str, params: dict, verdicts: dict,
-                       pairs: list[tuple[str, Any]] | None = None,
-                       header: list[str] | None = None,
-                       rows: list[list[Any]] | None = None,
-                       result: Any = None) -> Report:
+                       pairs: list[tuple[str, Any]], result: dict | list[dict],
+                       columns: list[str] | None = None,
+                       verdict_prefix: str = "verdict_") -> Report:
+    """The JSON envelope of an experiment; CSV writes the record(s) of
+    ``result`` and plain text ends with the verdicts."""
     payload = {
         "experiment": experiment,
         "params": params,
@@ -185,19 +151,9 @@ def _experiment_report(experiment: str, params: dict, verdicts: dict,
         "fixtures_version": experiments.load_fixtures()["version"],
         "result": result,
     }
-    if pairs is None:
-        pairs = [(k, v) for k, v in params.items()]
-        pairs += [(f"verdict_{k}", v) for k, v in verdicts.items()]
-    return Report(pairs, header=header, rows=rows, payload=payload)
-
-
-def _check_theorem(report: SumReport) -> SumReport:
-    if not report.bound_ok:
-        raise VerificationError(
-            f"unit bound falsified at {report.params}, x={report.x}",
-            instance={"params": report.params, "x": report.x, "mode": report.mode},
-        )
-    return report
+    pairs = pairs + [(verdict_prefix + k, v) for k, v in verdicts.items()]
+    records = result if isinstance(result, list) else [result]
+    return Report(pairs, payload, records, columns)
 
 
 def _parse_x_grid(text: str) -> list[int]:
@@ -210,11 +166,11 @@ def _parse_x_grid(text: str) -> list[int]:
     return grid
 
 
-def _parse_eps_list(text: str) -> list[float]:
+def _parse_reals(text: str, what: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise UsageError(f"eps grid must be comma-separated reals, got {text!r}") from None
+        raise UsageError(f"{what} must be comma-separated reals, got {text!r}") from None
 
 
 def _parse_weights(text: str) -> dict[int, Fraction]:
@@ -232,164 +188,7 @@ def _parse_weights(text: str) -> dict[int, Fraction]:
     return weights
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-# Cached: building the 20 subparsers costs more than many whole commands,
-# and parse_args leaves the parser unchanged, so one serves every run().
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="musum",
-        description=(
-            "Partial sums of the Mobius function over multiplicative "
-            "semigroups generated by arbitrary prime sets: unit-bound "
-            "checks, Landau-type convergence to Euler products, zeta "
-            "truncations, and the documented counterexamples."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text, parents=[common])
-        return p
-
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="plain",
-                        help="output format (csv/json are the stable contracts)")
-    common.add_argument("--out", default="-", help="output path, or - for stdout")
-
-    p = add("sum", "Partial sum of mu(n)/n over the semigroup <P> up to x; "
-                   "checks the elementary unit bound |S_P(x)| <= 1.")
-    p.add_argument("--set", required=True, help="prime set, e.g. all | finite:2,3 | "
-                   "cofinite:5 | interval:10..100 | residue:1 mod 4 | logfrac:t=1.0,w=0.1,s=0.0")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-
-    p = add("coprime", "Sum of mu(n)/n over n <= x coprime to P; the unit bound "
-                       "holds exactly as for the semigroup form.")
-    p.add_argument("--p", type=int, required=True, help="coprimality modulus P")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-
-    p = add("divisors", "Sum of mu(n)/n over divisors n of N with n <= x; equals "
-                        "phi(N)/N once x >= N, and stays within the unit bound.")
-    p.add_argument("--n", type=int, required=True, help="the divisor source N")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-
-    p = add("shifted", "Sum of mu(m*n)/n over n <= x; the unit bound holds for "
-                       "every shift m.")
-    p.add_argument("--m", type=int, required=True, help="the shift m")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-
-    p = add("zorn", "Exact counting identity behind the unit-bound proof: "
-                    "#{n <= x in <P'>} = sum of mu(d)*floor(x/d) over d in <P>.")
-    p.add_argument("--set", required=True)
-    p.add_argument("--x", type=int, required=True)
-
-    p = add("euler", "Product of (1 - 1/p): exact over a finite set, truncated "
-                     "(with --prime-limit) otherwise; the limit of the partial sums.")
-    p.add_argument("--set", required=True)
-    p.add_argument("--prime-limit", type=int, default=None)
-
-    p = add("weighted", "Sum of mu(n)*a(n)/n for a multiplicative weight "
-                        "a: N -> [0,1]; the unit bound persists by convexity.")
-    p.add_argument("--weights", default="", help="comma-separated P=VALUE with VALUE "
-                   "a fraction in [0,1], e.g. 2=1/3,5=1")
-    p.add_argument("--default", type=int, choices=(0, 1), default=0,
-                   help="weight of every unassigned prime")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-
-    p = add("converge", "Partial sums against truncated products across an x "
-                        "grid; their gap is o(1) (Landau-type convergence).")
-    p.add_argument("--set", required=True)
-    p.add_argument("--x-grid", required=True, help="comma-separated ascending x values")
-
-    p = add("mertens", "Window of primes in (sqrt(x), x]: by Mertens' theorems "
-                       "the sum tends to 1 - ln 2 while the product tends to 1/2, "
-                       "so the convergence is not uniform in the prime set.")
-    p.add_argument("--x", type=int, required=True)
-
-    p = add("mean-mobius", "Wirsing-type mean (1/x) * sum of mu(n) over the "
-                           "semigroup; tends to 0.")
-    p.add_argument("--set", required=True)
-    p.add_argument("--x", type=int, required=True)
-
-    p = add("gran", "Refinement of the counting identity with the "
-                    "(1 - gamma) * sum mu(n) correction term; residuals are "
-                    "reported without a verdict (the error constant is unknown).")
-    p.add_argument("--set", required=True)
-    p.add_argument("--x-grid", required=True)
-
-    p = add("zeta", "Truncated Euler product of the semigroup zeta function at "
-                    "s with Re(s) > 1, with a rigorous log-scale tail bound.")
-    p.add_argument("--set", required=True)
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, default=0.0)
-    p.add_argument("--prime-limit", type=int, default=10**5)
-
-    p = add("logres", "Residual of log zeta_P(sigma) minus the sum of p^-sigma "
-                      "over members; lies in [0, sum of p^-2sigma].")
-    p.add_argument("--set", required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--prime-limit", type=int, default=10**5)
-
-    p = add("blowup", "Scan |zeta_P(1 + eps + it)| over descending eps for the "
-                      "log-fraction families: shift 0 blows up, shift 1/2 vanishes.")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--shift", type=float, required=True)
-    p.add_argument("--eps", required=True, help="comma-separated descending eps values")
-    p.add_argument("--width", type=float, default=0.1)
-    p.add_argument("--prime-limit", type=int, default=10**6)
-
-    add("gs-const", "Sharp lower-bound constant for the partial sums, "
-                    "(1 - 2 ln(1+sqrt(e)) + 4 I) ln 2 = -0.4553..., via "
-                    "adaptive Simpson quadrature.")
-
-    p = add("semiprime", "Sum of mu(n)/n over the semigroup generated by the "
-                         "semiprimes: mu is 0 or 1 there, the sum diverges, and "
-                         "the unit bound fails (first at x = 6).")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-
-    p = add("beurling", "Partial sum over a system of real generators > 1 "
-                        "(Beurling model); the unit bound fails at generators "
-                        "1.1,1.2,1.3 with x = 1.3.")
-    p.add_argument("--generators", required=True, help="comma-separated reals > 1")
-    p.add_argument("--x", type=float, required=True)
-
-    p = add("density", "Density #{n <= x in <P>} / x of the semigroup.")
-    p.add_argument("--set", required=True)
-    p.add_argument("--x", type=int, required=True)
-
-    p = add("enumerate", "Stream the members (n, mu(n)) of <P> up to x.")
-    p.add_argument("--set", required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--backend", choices=("auto", "sieve", "heap"), default="auto")
-    p.add_argument("--squarefree-only", action="store_true")
-
-    p = add("sweep", "Randomized property sweeps: theorem1 (unit bound), mock "
-                     "(restricted sums), zorn (counting identity), weights "
-                     "(multiplicative weights); exit 3 with the falsifying "
-                     "instance if any check fails.")
-    p.add_argument("--kind", choices=sweeps.SWEEP_KINDS, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed; trials replay "
-                   "identically across platforms (Mersenne Twister)")
-    p.add_argument("--dump", default=None, help="write the generated instances to "
-                   "this path for later replay")
-    p.add_argument("--replay", default=None, help="re-check instances from this "
-                   "JSON file instead of generating new ones")
-
-    return parser
-
-
-def _cmd_sum_family(args, fmt, out) -> int:
+def _cmd_sum_family(args) -> Report:
     if args.command == "sum":
         report = partial_sum(parse_spec(args.set), args.x, mode=args.mode)
     elif args.command == "coprime":
@@ -399,39 +198,36 @@ def _cmd_sum_family(args, fmt, out) -> int:
     elif args.command == "shifted":
         report = partial_sum_shifted(args.m, args.x, mode=args.mode)
     else:
-        report = weighted_partial_sum(
-            WeightFunction(_parse_weights(args.weights), default_value=args.default),
-            args.x,
-            mode=args.mode,
+        weight = WeightFunction(_parse_weights(args.weights), default_value=args.default)
+        report = weighted_partial_sum(weight, args.x, mode=args.mode)
+    if not report.bound_ok:
+        raise VerificationError(
+            f"unit bound falsified at {report.params}, x={report.x}",
+            instance={"params": report.params, "x": report.x, "mode": report.mode},
         )
-    _check_theorem(report)
-    emit(_sum_report(report), fmt, out)
-    return EXIT_OK
+    return _fields_report(report)
 
 
-def _cmd_zorn(args, fmt, out) -> int:
+def _cmd_zorn(args) -> Report:
     result = zorn_check(parse_spec(args.set), args.x)
     if not result.equal:
         raise VerificationError(
             f"counting identity falsified: lhs={result.lhs} rhs={result.rhs}",
             instance={"set": args.set, "x": args.x},
         )
-    emit(Report([("lhs", result.lhs), ("rhs", result.rhs), ("equal", result.equal)]), fmt, out)
-    return EXIT_OK
+    return _fields_report(result)
 
 
-def _cmd_euler(args, fmt, out) -> int:
+def _cmd_euler(args) -> Report:
     spec = parse_spec(args.set)
     if args.prime_limit is None:
         value = euler_product(spec)
-        emit(Report([("value_exact", value), ("value_float", float(value))]), fmt, out)
-    else:
-        value = euler_product_partial(spec, args.prime_limit)
-        emit(Report([("prime_limit", args.prime_limit), ("value_float", value)]), fmt, out)
-    return EXIT_OK
+        return Report([("value_exact", value), ("value_float", float(value))])
+    value = euler_product_partial(spec, args.prime_limit)
+    return Report([("prime_limit", args.prime_limit), ("value_float", value)])
 
 
-def _cmd_converge(args, fmt, out) -> int:
+def _cmd_converge(args) -> Report:
     spec = parse_spec(args.set)
     grid = _parse_x_grid(args.x_grid)
     rows = experiments.convergence_table(spec, grid)
@@ -439,224 +235,134 @@ def _cmd_converge(args, fmt, out) -> int:
     threshold = experiments.regression_threshold(spec, "partial_sum_abs", grid[-1])
     if threshold is not None:
         verdicts["final_abs_sum_within_frozen_threshold"] = abs(rows[-1].sum_value) < threshold
-    from .primes import AllPrimes
-
     if isinstance(spec, AllPrimes):
         sums_abs = [abs(r.sum_value) for r in rows]
-        verdicts["abs_sum_non_increasing"] = all(
-            a >= b for a, b in zip(sums_abs, sums_abs[1:])
-        )
-    emit(
-        _experiment_report(
-            "converge",
-            {"set": args.set, "x_grid": grid},
-            verdicts,
-            pairs=[("x_grid", args.x_grid)] + [(f"gap@{r.x}", r.gap) for r in rows]
-            + [(f"verdict_{k}", v) for k, v in verdicts.items()],
-            header=["x", "sum_value", "product_value", "gap"],
-            rows=[[r.x, r.sum_value, r.product_value, r.gap] for r in rows],
-            result=[
-                {"x": r.x, "sum_value": r.sum_value, "product_value": r.product_value,
-                 "gap": r.gap}
-                for r in rows
-            ],
-        ),
-        fmt,
-        out,
+        verdicts["abs_sum_non_increasing"] = all(a >= b for a, b in zip(sums_abs, sums_abs[1:]))
+    return _experiment_report(
+        "converge",
+        {"set": args.set, "x_grid": grid},
+        verdicts,
+        [("x_grid", args.x_grid)] + [(f"gap@{r.x}", r.gap) for r in rows],
+        [asdict(r) for r in rows],
     )
-    return EXIT_OK
 
 
-def _cmd_mertens(args, fmt, out) -> int:
-    window = experiments.mertens_window(args.x)
+def _cmd_mertens(args) -> Report:
+    window = asdict(experiments.mertens_window(args.x))
     one_minus_ln2 = 1.0 - math.log(2.0)
     verdicts = {
-        "sum_within_0.05_of_1_minus_ln2": abs(window.sum - one_minus_ln2) <= 0.05,
-        "product_within_0.05_of_half": abs(window.product - 0.5) <= 0.05,
+        "sum_within_0.05_of_1_minus_ln2": abs(window["sum"] - one_minus_ln2) <= 0.05,
+        "product_within_0.05_of_half": abs(window["product"] - 0.5) <= 0.05,
     }
-    emit(
-        _experiment_report(
-            "mertens",
-            {"x": args.x},
-            verdicts,
-            pairs=[("x", args.x), ("sum", window.sum), ("product", window.product)]
-            + [(f"verdict_{k}", v) for k, v in verdicts.items()],
-            header=["sum", "product"],
-            rows=[[window.sum, window.product]],
-            result={"sum": window.sum, "product": window.product},
-        ),
-        fmt,
-        out,
+    return _experiment_report(
+        "mertens", {"x": args.x}, verdicts, [("x", args.x), *window.items()], window
     )
-    return EXIT_OK
 
 
-def _cmd_mean_mobius(args, fmt, out) -> int:
+def _cmd_mean_mobius(args) -> Report:
     spec = parse_spec(args.set)
     value = experiments.mean_mobius(spec, args.x)
     verdicts = {}
     threshold = experiments.regression_threshold(spec, "mean_mobius_abs", args.x)
     if threshold is not None:
         verdicts["abs_mean_within_frozen_threshold"] = abs(value) < threshold
-    emit(
-        _experiment_report(
-            "mean-mobius",
-            {"set": args.set, "x": args.x},
-            verdicts,
-            pairs=[("set", args.set), ("x", args.x), ("value", value)]
-            + [(f"verdict_{k}", v) for k, v in verdicts.items()],
-            header=["value"],
-            rows=[[value]],
-            result={"value": value},
-        ),
-        fmt,
-        out,
+    return _experiment_report(
+        "mean-mobius",
+        {"set": args.set, "x": args.x},
+        verdicts,
+        [("set", args.set), ("x", args.x), ("value", value)],
+        {"value": value},
     )
-    return EXIT_OK
 
 
-def _cmd_gran(args, fmt, out) -> int:
+def _cmd_gran(args) -> Report:
     rows = experiments.gran_residual(parse_spec(args.set), _parse_x_grid(args.x_grid))
-    emit(
-        _experiment_report(
-            "gran",
-            {"set": args.set, "x_grid": [r.x for r in rows]},
-            {},
-            pairs=[(f"residual_over_x@{r.x}", r.residual / r.x) for r in rows],
-            header=["x", "lhs", "count_term", "mertens_term", "residual", "gamma"],
-            rows=[[r.x, r.lhs, r.count_term, r.mertens_term, r.residual, r.gamma] for r in rows],
-            result=[
-                {"x": r.x, "lhs": r.lhs, "count_term": r.count_term,
-                 "mertens_term": r.mertens_term, "residual": r.residual,
-                 "residual_over_x": r.residual / r.x, "gamma": r.gamma}
-                for r in rows
-            ],
-        ),
-        fmt,
-        out,
+    records = [
+        {"x": r.x, "lhs": r.lhs, "count_term": r.count_term, "mertens_term": r.mertens_term,
+         "residual": r.residual, "residual_over_x": r.residual / r.x, "gamma": r.gamma}
+        for r in rows
+    ]
+    return _experiment_report(
+        "gran",
+        {"set": args.set, "x_grid": [r.x for r in rows]},
+        {},
+        [(f"residual_over_x@{r['x']}", r["residual_over_x"]) for r in records],
+        records,
+        columns=[f.name for f in fields(experiments.GranResidualRow)],
     )
-    return EXIT_OK
 
 
-def _cmd_zeta(args, fmt, out) -> int:
+def _cmd_zeta(args) -> Report:
     result = zeta_p(parse_spec(args.set), complex(args.re, args.im), args.prime_limit)
-    emit(
-        Report(
-            [
-                ("s_re", result.s.real),
-                ("s_im", result.s.imag),
-                ("prime_limit", result.prime_limit),
-                ("re", result.value.real),
-                ("im", result.value.imag),
-                ("modulus", abs(result.value)),
-                ("log_tail_bound", result.log_tail_bound),
-            ]
-        ),
-        fmt,
-        out,
-    )
-    return EXIT_OK
+    return Report([
+        ("s_re", result.s.real),
+        ("s_im", result.s.imag),
+        ("prime_limit", result.prime_limit),
+        ("re", result.value.real),
+        ("im", result.value.imag),
+        ("modulus", abs(result.value)),
+        ("log_tail_bound", result.log_tail_bound),
+    ])
 
 
-def _cmd_logres(args, fmt, out) -> int:
+def _cmd_logres(args) -> Report:
     value = log_identity_residual(parse_spec(args.set), args.sigma, args.prime_limit)
-    emit(
-        Report(
-            [("sigma", args.sigma), ("prime_limit", args.prime_limit), ("residual", value)]
-        ),
-        fmt,
-        out,
-    )
-    return EXIT_OK
+    return Report([("sigma", args.sigma), ("prime_limit", args.prime_limit), ("residual", value)])
 
 
-def _cmd_blowup(args, fmt, out) -> int:
-    rows = blowup_scan(args.t, args.shift, _parse_eps_list(args.eps),
+def _cmd_blowup(args) -> Report:
+    rows = blowup_scan(args.t, args.shift, _parse_reals(args.eps, "eps grid"),
                        prime_limit=args.prime_limit, width=args.width)
-    emit(
-        Report(
-            [(f"modulus@eps={r.eps!r}", r.modulus) for r in rows],
-            header=["eps", "re", "im", "modulus", "log_tail_bound"],
-            rows=[[r.eps, r.value.real, r.value.imag, r.modulus, r.log_tail_bound]
-                  for r in rows],
-            payload={
-                "t": args.t,
-                "shift": args.shift,
-                "width": args.width,
-                "prime_limit": args.prime_limit,
-                "rows": [
-                    {"eps": r.eps, "re": r.value.real, "im": r.value.imag,
-                     "modulus": r.modulus, "log_tail_bound": r.log_tail_bound}
-                    for r in rows
-                ],
-            },
-        ),
-        fmt,
-        out,
-    )
-    return EXIT_OK
+    records = [
+        {"eps": r.eps, "re": r.value.real, "im": r.value.imag, "modulus": r.modulus,
+         "log_tail_bound": r.log_tail_bound}
+        for r in rows
+    ]
+    payload = {"t": args.t, "shift": args.shift, "width": args.width,
+               "prime_limit": args.prime_limit, "rows": records}
+    return Report([(f"modulus@eps={r.eps!r}", r.modulus) for r in rows], payload, records)
 
 
-def _cmd_gs_const(args, fmt, out) -> int:
-    emit(Report([("value", gs_constant())]), fmt, out)
-    return EXIT_OK
+def _cmd_gs_const(args) -> Report:
+    return Report([("value", gs_constant())])
 
 
-def _cmd_semiprime(args, fmt, out) -> int:
-    report = experiments.semiprime_sum(args.x, mode=args.mode)
+def _cmd_semiprime(args) -> Report:
     # Bound violations are the expected result here, not a failure.
-    emit(_sum_report(report), fmt, out)
-    return EXIT_OK
+    return _fields_report(experiments.semiprime_sum(args.x, mode=args.mode))
 
 
-def _cmd_beurling(args, fmt, out) -> int:
-    try:
-        generators = tuple(float(tok) for tok in args.generators.split(",") if tok)
-    except ValueError:
-        raise UsageError(f"generators must be comma-separated reals, got {args.generators!r}")
-    system = experiments.BeurlingSystem(generators)
+def _cmd_beurling(args) -> Report:
+    system = experiments.BeurlingSystem(_parse_reals(args.generators, "generators"))
     value = experiments.beurling_partial_sum(system, args.x)
-    emit(
-        _experiment_report(
-            "beurling",
-            {"generators": list(system.generators), "x": args.x},
-            {"within_unit_bound": abs(value) <= 1.0},
-            pairs=[("generators", args.generators), ("x", args.x), ("value", value),
-                   ("within_unit_bound", abs(value) <= 1.0)],
-            header=["value"],
-            rows=[[value]],
-            result={"value": value},
-        ),
-        fmt,
-        out,
+    return _experiment_report(
+        "beurling",
+        {"generators": list(system.generators), "x": args.x},
+        {"within_unit_bound": abs(value) <= 1.0},
+        [("generators", args.generators), ("x", args.x), ("value", value)],
+        {"value": value},
+        verdict_prefix="",
     )
-    return EXIT_OK
 
 
-def _cmd_density(args, fmt, out) -> int:
+def _cmd_density(args) -> Report:
     value = density(parse_spec(args.set), args.x)
-    emit(Report([("set", args.set), ("x", args.x), ("density", value)]), fmt, out)
-    return EXIT_OK
+    return Report([("set", args.set), ("x", args.x), ("density", value)])
 
 
-def _cmd_enumerate(args, fmt, out) -> int:
+def _cmd_enumerate(args) -> Report:
     options = EnumerationOptions(squarefree_only=args.squarefree_only, backend=args.backend)
-    terms = list(enumerate_terms(parse_spec(args.set), args.x, options))
-    emit(
-        Report(
-            [(f"mu@{t.n}", t.mu) for t in terms],
-            header=["n", "mu"],
-            rows=[[t.n, t.mu] for t in terms],
-            payload={"set": args.set, "x": args.x,
-                     "terms": [{"n": t.n, "mu": t.mu} for t in terms]},
-        ),
-        fmt,
-        out,
+    terms = enumerate_terms(parse_spec(args.set), args.x, options)
+    records = [{"n": n, "mu": mu} for n, mu in terms]
+    return Report(
+        [(f"mu@{r['n']}", r["mu"]) for r in records],
+        {"set": args.set, "x": args.x, "terms": records},
+        records,
+        columns=["n", "mu"],
     )
-    return EXIT_OK
 
 
-def _cmd_sweep(args, fmt, out) -> int:
+def _cmd_sweep(args) -> Report:
     if args.replay is not None:
         try:
             with open(args.replay, encoding="utf-8") as handle:
@@ -682,50 +388,170 @@ def _cmd_sweep(args, fmt, out) -> int:
         ("passed", result.passed),
         ("failed", len(result.failures)),
     ]
-    payload = dict(pairs)
-    payload["failures"] = result.failures
-    emit(Report(pairs, payload=payload), fmt, out)
+    failure = None
     if result.failures:
-        raise VerificationError(
+        failure = VerificationError(
             f"{len(result.failures)} of {result.trials} sweep trials falsified a theorem",
             instance={"failures": result.failures},
         )
-    return EXIT_OK
+    return Report(pairs, {**dict(pairs), "failures": result.failures}, failure=failure)
 
 
-_HANDLERS = {
-    "sum": _cmd_sum_family,
-    "coprime": _cmd_sum_family,
-    "divisors": _cmd_sum_family,
-    "shifted": _cmd_sum_family,
-    "weighted": _cmd_sum_family,
-    "zorn": _cmd_zorn,
-    "euler": _cmd_euler,
-    "converge": _cmd_converge,
-    "mertens": _cmd_mertens,
-    "mean-mobius": _cmd_mean_mobius,
-    "gran": _cmd_gran,
-    "zeta": _cmd_zeta,
-    "logres": _cmd_logres,
-    "blowup": _cmd_blowup,
-    "gs-const": _cmd_gs_const,
-    "semiprime": _cmd_semiprime,
-    "beurling": _cmd_beurling,
-    "density": _cmd_density,
-    "enumerate": _cmd_enumerate,
-    "sweep": _cmd_sweep,
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], Report]
+    help: str
+    args: tuple[tuple[str, dict], ...] = ()
+
+
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+def _with_help(arg: tuple[str, dict], text: str) -> tuple[str, dict]:
+    return arg[0], {**arg[1], "help": text}
+
+
+_SET = _arg("--set", required=True)
+_X = _arg("--x", type=int, required=True)
+_MODE = _arg("--mode", choices=("exact", "float"), default="exact")
+_X_GRID = _arg("--x-grid", required=True)
+
+
+def _prime_limit(default: int | None) -> tuple[str, dict]:
+    return _arg("--prime-limit", type=int, default=default)
+
+
+_COMMANDS = {
+    "sum": _Command(_cmd_sum_family, "Partial sum of mu(n)/n over the semigroup <P> up to x; "
+                    "checks the elementary unit bound |S_P(x)| <= 1.", (
+        _with_help(_SET, "prime set, e.g. all | finite:2,3 | cofinite:5 | "
+                   "interval:10..100 | residue:1 mod 4 | logfrac:t=1.0,w=0.1,s=0.0"),
+        _X, _MODE)),
+    "coprime": _Command(_cmd_sum_family, "Sum of mu(n)/n over n <= x coprime to P; the unit "
+                        "bound holds exactly as for the semigroup form.", (
+        _arg("--p", type=int, required=True, help="coprimality modulus P"), _X, _MODE)),
+    "divisors": _Command(_cmd_sum_family, "Sum of mu(n)/n over divisors n of N with n <= x; "
+                         "equals phi(N)/N once x >= N, and stays within the unit bound.", (
+        _arg("--n", type=int, required=True, help="the divisor source N"), _X, _MODE)),
+    "shifted": _Command(_cmd_sum_family, "Sum of mu(m*n)/n over n <= x; the unit bound holds "
+                        "for every shift m.", (
+        _arg("--m", type=int, required=True, help="the shift m"), _X, _MODE)),
+    "zorn": _Command(_cmd_zorn, "Exact counting identity behind the unit-bound proof: "
+                     "#{n <= x in <P'>} = sum of mu(d)*floor(x/d) over d in <P>.", (_SET, _X)),
+    "euler": _Command(_cmd_euler, "Product of (1 - 1/p): exact over a finite set, truncated "
+                      "(with --prime-limit) otherwise; the limit of the partial sums.", (
+        _SET, _prime_limit(None))),
+    "weighted": _Command(_cmd_sum_family, "Sum of mu(n)*a(n)/n for a multiplicative weight "
+                         "a: N -> [0,1]; the unit bound persists by convexity.", (
+        _arg("--weights", default="", help="comma-separated P=VALUE with VALUE "
+             "a fraction in [0,1], e.g. 2=1/3,5=1"),
+        _arg("--default", type=int, choices=(0, 1), default=0,
+             help="weight of every unassigned prime"),
+        _X, _MODE)),
+    "converge": _Command(_cmd_converge, "Partial sums against truncated products across an x "
+                         "grid; their gap is o(1) (Landau-type convergence).", (
+        _SET, _with_help(_X_GRID, "comma-separated ascending x values"))),
+    "mertens": _Command(_cmd_mertens, "Window of primes in (sqrt(x), x]: by Mertens' theorems "
+                        "the sum tends to 1 - ln 2 while the product tends to 1/2, "
+                        "so the convergence is not uniform in the prime set.", (_X,)),
+    "mean-mobius": _Command(_cmd_mean_mobius, "Wirsing-type mean (1/x) * sum of mu(n) over the "
+                            "semigroup; tends to 0.", (_SET, _X)),
+    "gran": _Command(_cmd_gran, "Refinement of the counting identity with the "
+                     "(1 - gamma) * sum mu(n) correction term; residuals are "
+                     "reported without a verdict (the error constant is unknown).", (
+        _SET, _X_GRID)),
+    "zeta": _Command(_cmd_zeta, "Truncated Euler product of the semigroup zeta function at "
+                     "s with Re(s) > 1, with a rigorous log-scale tail bound.", (
+        _SET, _arg("--re", type=float, required=True), _arg("--im", type=float, default=0.0),
+        _prime_limit(10**5))),
+    "logres": _Command(_cmd_logres, "Residual of log zeta_P(sigma) minus the sum of p^-sigma "
+                       "over members; lies in [0, sum of p^-2sigma].", (
+        _SET, _arg("--sigma", type=float, required=True), _prime_limit(10**5))),
+    "blowup": _Command(_cmd_blowup, "Scan |zeta_P(1 + eps + it)| over descending eps for the "
+                       "log-fraction families: shift 0 blows up, shift 1/2 vanishes.", (
+        _arg("--t", type=float, required=True),
+        _arg("--shift", type=float, required=True),
+        _arg("--eps", required=True, help="comma-separated descending eps values"),
+        _arg("--width", type=float, default=0.1),
+        _prime_limit(10**6))),
+    "gs-const": _Command(_cmd_gs_const, "Sharp lower-bound constant for the partial sums, "
+                         "(1 - 2 ln(1+sqrt(e)) + 4 I) ln 2 = -0.4553..., via "
+                         "adaptive Simpson quadrature."),
+    "semiprime": _Command(_cmd_semiprime, "Sum of mu(n)/n over the semigroup generated by the "
+                          "semiprimes: mu is 0 or 1 there, the sum diverges, and "
+                          "the unit bound fails (first at x = 6).", (_X, _MODE)),
+    "beurling": _Command(_cmd_beurling, "Partial sum over a system of real generators > 1 "
+                         "(Beurling model); the unit bound fails at generators "
+                         "1.1,1.2,1.3 with x = 1.3.", (
+        _arg("--generators", required=True, help="comma-separated reals > 1"),
+        _arg("--x", type=float, required=True))),
+    "density": _Command(_cmd_density, "Density #{n <= x in <P>} / x of the semigroup.", (
+        _SET, _X)),
+    "enumerate": _Command(_cmd_enumerate, "Stream the members (n, mu(n)) of <P> up to x.", (
+        _SET, _X,
+        _arg("--backend", choices=("auto", "sieve", "heap"), default="auto"),
+        _arg("--squarefree-only", action="store_true"))),
+    "sweep": _Command(_cmd_sweep, "Randomized property sweeps: theorem1 (unit bound), mock "
+                      "(restricted sums), zorn (counting identity), weights "
+                      "(multiplicative weights); exit 3 with the falsifying "
+                      "instance if any check fails.", (
+        _arg("--kind", choices=sweeps.SWEEP_KINDS, required=True),
+        _arg("--trials", type=int, default=100),
+        _arg("--seed", type=int, default=0, help="64-bit seed; trials replay "
+             "identically across platforms (Mersenne Twister)"),
+        _arg("--dump", default=None, help="write the generated instances to "
+             "this path for later replay"),
+        _arg("--replay", default=None, help="re-check instances from this "
+             "JSON file instead of generating new ones"))),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+# Cached: building the 20 subparsers costs more than many whole commands,
+# and parse_args leaves the parser unchanged, so one serves every run().
+@functools.cache
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="musum",
+        description=(
+            "Partial sums of the Mobius function over multiplicative "
+            "semigroups generated by arbitrary prime sets: unit-bound "
+            "checks, Landau-type convergence to Euler products, zeta "
+            "truncations, and the documented counterexamples."
+        ),
+    )
+    common = _Parser(add_help=False)
+    common.add_argument("--format", choices=FORMATS, default="plain",
+                        help="output format (csv/json are the stable contracts)")
+    common.add_argument("--out", default="-", help="output path, or - for stdout")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help, parents=[common])
+        for flag, kwargs in command.args:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def run(argv: list[str]) -> int:
-    """Dispatch a command line; returns the exit code (never raises)."""
+    """Dispatch a command line; returns the exit code (never raises).
+
+    The one place a report is written: a handler's ``failure`` (a sweep
+    that falsified a theorem) exits 3 only after its report is out."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        return _HANDLERS[args.command](args, args.format, args.out)
+        report = _COMMANDS[args.command].handler(args)
+        emit(report, args.format, args.out)
+        if report.failure is not None:
+            raise report.failure
+        return EXIT_OK
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except (SpecParseError, UsageError) as exc:

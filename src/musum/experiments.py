@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError
-from .primes import IntervalPrimes, PrimeSetSpec, render_spec
+from .primes import IntervalPrimes, PrimeSetSpec, primes_in, render_spec
 from .semigroup import _heap_stream, complement_table, member_table, table_tally, table_terms
 from .semigroup import tally
 from .sums import SumReport, _mu_stream, _report, _terms, _validate_mode_and_x
@@ -79,10 +79,17 @@ def convergence_table(spec: PrimeSetSpec, x_grid: list[int]) -> list[Convergence
     if any(a >= b for a, b in zip(x_grid, x_grid[1:])):
         raise DomainError("x grid must be strictly ascending")
     table = _checked_grid_table(spec, x_grid)
+    # One ascending pass of euler_product_partial: each grid point's product
+    # continues the previous one, multiplying in the same order.
+    members = iter(primes_in(spec, max(x_grid)))
+    p = next(members, None)
+    product_value = 1.0
     rows = []
     for x in x_grid:
+        while p is not None and p <= x:
+            product_value *= 1.0 - 1.0 / p
+            p = next(members, None)
         sum_value = _float_sum(table, x)
-        product_value = euler_product_partial(spec, x)
         rows.append(ConvergenceRow(x, sum_value, product_value, sum_value - product_value))
     return rows
 
@@ -222,6 +229,8 @@ def beurling_partial_sum(system: BeurlingSystem, x: float) -> float:
     stays in [-1, 1]; with real generators it does not -- the system
     {1.1, 1.2, 1.3} at x = 1.3 already reaches about -1.5117.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"x must be a finite real, got {x}")
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     cutoff = x * (1.0 + BEURLING_RELATIVE_TOLERANCE)

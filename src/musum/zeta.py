@@ -77,6 +77,11 @@ def _require_right_of_one(sigma: float) -> None:
         )
 
 
+def _require_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be a finite real, got {value}")
+
+
 def _reduced_phases(members: list[int], t: float) -> list[float]:
     """t * ln(p) mod 2*pi for each member, reduced in extended precision."""
     if t == 0.0:
@@ -93,22 +98,28 @@ def _tail_bound(spec: PrimeSetSpec, sigma: float, prime_limit: int) -> float:
     return 2.0 * prime_limit ** (1.0 - sigma) / ((sigma - 1.0) * math.log(prime_limit))
 
 
+def _truncated_product(members: list[int], phases: list[float], sigma: float) -> complex:
+    """Product of (1 - p**-sigma * exp(-i*phase))**-1 over the members, in
+    ascending order."""
+    value = complex(1.0, 0.0)
+    for p, phase in zip(members, phases):
+        value /= 1.0 - p ** -sigma * cmath.exp(-1j * phase)
+    return value
+
+
 def zeta_p(spec: PrimeSetSpec, s: complex, prime_limit: int) -> ZetaEval:
     """Product of (1 - p**-s)**-1 over members p <= prime_limit."""
     s = complex(s)
     _require_right_of_one(s.real)
+    _require_finite("Re(s)", s.real)
+    _require_finite("Im(s)", s.imag)
     if prime_limit < 2:
         raise DomainError(f"prime limit must be >= 2, got {prime_limit}")
     members = primes_in(spec, prime_limit)
-    phases = _reduced_phases(members, s.imag)
-    value = complex(1.0, 0.0)
-    for p, phase in zip(members, phases):
-        z = p ** -s.real * cmath.exp(-1j * phase)
-        value /= 1.0 - z
     return ZetaEval(
         s=s,
         prime_limit=prime_limit,
-        value=value,
+        value=_truncated_product(members, _reduced_phases(members, s.imag), s.real),
         log_tail_bound=_tail_bound(spec, s.real, prime_limit),
     )
 
@@ -122,6 +133,7 @@ def log_identity_residual(spec: PrimeSetSpec, sigma: float, prime_limit: int) ->
     of p**(-2*sigma); it is accumulated per prime to avoid cancellation.
     """
     _require_right_of_one(sigma)
+    _require_finite("sigma", sigma)
     if prime_limit < 2:
         raise DomainError(f"prime limit must be >= 2, got {prime_limit}")
     members = primes_in(spec, prime_limit)
@@ -151,6 +163,8 @@ def blowup_scan(
     log-fraction family; emits one row per eps."""
     if not eps_list:
         raise DomainError("eps grid must be nonempty")
+    if not all(math.isfinite(e) for e in eps_list):
+        raise DomainError("eps values must be finite reals")
     if any(e <= 0 for e in eps_list):
         raise DomainError("eps values must be strictly positive")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
@@ -161,10 +175,7 @@ def blowup_scan(
     rows = []
     for eps in eps_list:
         sigma = 1.0 + eps
-        value = complex(1.0, 0.0)
-        for p, phase in zip(members, phases):
-            z = p ** -sigma * cmath.exp(-1j * phase)
-            value /= 1.0 - z
+        value = _truncated_product(members, phases, sigma)
         rows.append(
             ScanRow(
                 eps=eps,

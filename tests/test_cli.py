@@ -9,14 +9,17 @@ import pytest
 
 import musum
 from musum import cli
+from musum import sweeps
 from musum.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    EXIT_VERIFICATION,
     run,
 )
 from musum.semigroup import MAX_ENUM_LIMIT
+from musum.sums import SumReport, ZornIdentity
 from musum.sweeps import SWEEP_KINDS, replay_instances, run_sweep
 
 
@@ -262,6 +265,56 @@ class TestSweeps:
         assert replay.failures == result.failures == []
 
 
+class TestVerificationFailure:
+    """Exit 3 is reserved for a theorem that came back false, which correct
+    code never produces; these force one to check what reaches the user."""
+
+    def test_sweep_prints_its_report_before_exit_three(self, capsys, monkeypatch):
+        checked = []
+
+        def fail_first(instance):
+            checked.append(instance)
+            return {**instance, "reason": "forced"} if len(checked) == 1 else None
+
+        monkeypatch.setattr(sweeps, "check_instance", fail_first)
+        code, out, err = _run(capsys, "sweep", "--kind", "theorem1", "--trials", "4",
+                              "--seed", "5")
+        assert code == EXIT_VERIFICATION
+        assert out.splitlines() == ["kind    theorem1", "trials  4", "seed    5",
+                                    "passed  3", "failed  1"]
+        head, _, instance = err.partition("\n")
+        assert head == "VERIFICATION FAILURE: 1 of 4 sweep trials falsified a theorem"
+        assert json.loads(instance) == {"failures": [{**checked[0], "reason": "forced"}]}
+
+    def test_sweep_json_report_lists_the_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "check_instance",
+                            lambda instance: {**instance, "reason": "forced"})
+        code, out, _ = _run(capsys, "sweep", "--kind", "zorn", "--trials", "2",
+                            "--seed", "1", "--format", "json")
+        assert code == EXIT_VERIFICATION
+        payload = json.loads(out)
+        assert (payload["passed"], payload["failed"]) == (0, 2)
+        assert [f["reason"] for f in payload["failures"]] == ["forced", "forced"]
+
+    def test_sum_outside_the_bound_prints_nothing(self, capsys, monkeypatch):
+        broken = SumReport(params="all", x=10, mode="exact", value_exact=None,
+                           value_float=2.0, float_error_bound=0.0, term_count=3,
+                           bound_ok=False)
+        monkeypatch.setattr(cli, "partial_sum", lambda spec, x, mode: broken)
+        code, out, err = _run(capsys, "sum", "--set", "all", "--x", "10", "--format", "json")
+        assert code == EXIT_VERIFICATION
+        assert out == ""
+        assert err.startswith("VERIFICATION FAILURE: unit bound falsified at all, x=10\n")
+        assert "Traceback" not in err
+
+    def test_split_counting_identity_prints_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "zorn_check", lambda spec, x: ZornIdentity(3, 4, False))
+        code, out, err = _run(capsys, "zorn", "--set", "all", "--x", "10")
+        assert code == EXIT_VERIFICATION
+        assert out == ""
+        assert err.startswith("VERIFICATION FAILURE: counting identity falsified")
+
+
 class TestParserReuse:
     """run() builds its parser once per process; a sequence of commands
     through one process must print what fresh processes print."""
@@ -322,6 +375,45 @@ class TestBadInputExitCodes:
             (("sweep", "--kind", "weights"),
              b'[{"kind": "weights", "default": 0, "weights": {"2": "1/0"}, "x": 5}]',
              EXIT_USAGE),
+            # one or more rows per subcommand, non-finite reals included
+            (("gran", "--set", "all", "--x-grid", "1,2.5"), None, EXIT_USAGE),
+            (("sum", "--set", "finite:4", "--x", "10"), None, EXIT_USAGE),
+            (("sum", "--set", "all", "--x", "-1"), None, EXIT_DOMAIN),
+            (("coprime", "--p", "0", "--x", "10"), None, EXIT_DOMAIN),
+            (("divisors", "--n", "0", "--x", "10"), None, EXIT_DOMAIN),
+            (("shifted", "--m", "0", "--x", "10"), None, EXIT_DOMAIN),
+            (("zorn", "--set", "all", "--x", "0"), None, EXIT_DOMAIN),
+            (("euler", "--set", "all"), None, EXIT_USAGE),
+            (("euler", "--set", "all", "--prime-limit", "-1"), None, EXIT_DOMAIN),
+            (("weighted", "--weights", "2=3/2", "--x", "10"), None, EXIT_DOMAIN),
+            (("weighted", "--weights", "2", "--x", "10"), None, EXIT_USAGE),
+            (("converge", "--set", "all", "--x-grid", "10,5"), None, EXIT_DOMAIN),
+            (("converge", "--set", "all", "--x-grid", "1,a"), None, EXIT_USAGE),
+            (("mertens", "--x", "3"), None, EXIT_DOMAIN),
+            (("mean-mobius", "--set", "all", "--x", "0"), None, EXIT_DOMAIN),
+            (("zeta", "--set", "all", "--re", "1.0"), None, EXIT_DOMAIN),
+            (("zeta", "--set", "all", "--re", "nan"), None, EXIT_DOMAIN),
+            (("zeta", "--set", "all", "--re", "inf"), None, EXIT_DOMAIN),
+            (("zeta", "--set", "all", "--re", "2", "--im", "nan"), None, EXIT_DOMAIN),
+            (("zeta", "--set", "all", "--re", "2", "--im", "inf"), None, EXIT_DOMAIN),
+            (("zeta", "--set", "all", "--re", "2", "--im=-inf"), None, EXIT_DOMAIN),
+            (("logres", "--set", "all", "--sigma", "inf"), None, EXIT_DOMAIN),
+            (("logres", "--set", "all", "--sigma", "nan"), None, EXIT_DOMAIN),
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "nan"), None, EXIT_DOMAIN),
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "0.5,nan"), None, EXIT_DOMAIN),
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "inf,0.5"), None, EXIT_DOMAIN),
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "1e400"), None, EXIT_DOMAIN),
+            (("blowup", "--t", "nan", "--shift", "0", "--eps", "0.5"), None, EXIT_DOMAIN),
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "0.5,x"), None, EXIT_USAGE),
+            (("gs-const", "--format", "xml"), None, EXIT_USAGE),
+            (("semiprime", "--x", "0"), None, EXIT_DOMAIN),
+            (("beurling", "--generators", "1.5,2", "--x", "nan"), None, EXIT_DOMAIN),
+            (("beurling", "--generators", "1.5,2", "--x", "inf"), None, EXIT_DOMAIN),
+            (("beurling", "--generators", "1.5,x", "--x", "2"), None, EXIT_USAGE),
+            (("density", "--set", "all", "--x", "0"), None, EXIT_DOMAIN),
+            (("enumerate", "--set", "all", "--x", "-1"), None, EXIT_DOMAIN),
+            (("enumerate", "--set", "all", "--x", "5", "--backend", "heap"), None, EXIT_USAGE),
+            (("sweep", "--kind", "theorem1", "--trials", "0"), None, EXIT_USAGE),
         ],
     )
     def test_documented_code_without_traceback(self, capsys, tmp_path, argv, replay, code):
@@ -364,6 +456,7 @@ class TestHelp:
             ("beurling", "Beurling"),
             ("density", "Density"),
             ("sweep", "theorem1"),
+            ("enumerate", "members (n, mu(n))"),
         ],
     )
     def test_subcommand_help_names_its_result(self, capsys, command, needle):

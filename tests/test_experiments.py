@@ -232,6 +232,11 @@ class TestBeurling:
         with pytest.raises(DomainError, match="finite"):
             BeurlingSystem((1.1, bad))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_x_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            beurling_partial_sum(BeurlingSystem((1.5, 2.0)), bad)
+
     def test_against_exhaustive_subsets(self):
         import itertools
 

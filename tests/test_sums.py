@@ -410,6 +410,7 @@ class TestSumsAgainstOracle:
         assert rows == [convergence_table(spec, [x])[0] for x in grid]
         for row in rows:
             assert row.sum_value == partial_sum(spec, row.x, mode="float").value_float
+            assert row.product_value == euler_product_partial(spec, row.x)
         gran = gran_residual(spec, grid)
         assert gran == [gran_residual(spec, [x])[0] for x in grid]
         for row in gran:

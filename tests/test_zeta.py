@@ -150,6 +150,50 @@ class TestPathologicalFamilies:
         with pytest.raises(DomainError):
             blowup_scan(1.0, 0.0, [0.5, -0.1])
 
+    @pytest.mark.parametrize(
+        "t, shift, eps, width",
+        [(1.0, 0.0, [0.5, 0.2, 0.05], 0.1), (2.5, 0.5, [0.3, 0.1], 0.2),
+         (-3.0, 0.25, [1.0, 0.01], 0.5)],
+    )
+    def test_scan_rows_are_zeta_evaluations(self, t, shift, eps, width):
+        limit = 3000
+        spec = pathological_set(t, width, shift)
+        for row in blowup_scan(t, shift, eps, prime_limit=limit, width=width):
+            single = zeta_p(spec, complex(1.0 + row.eps, t), limit)
+            assert row.value == single.value
+            assert row.modulus == abs(single.value)
+            assert row.log_tail_bound == single.log_tail_bound
+
+
+_NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteArguments:
+    """A nan or infinite real argument is a domain error, not a nan result."""
+
+    @pytest.mark.parametrize("bad", _NONFINITE)
+    def test_zeta_imaginary_part(self, bad):
+        with pytest.raises(DomainError):
+            zeta_p(AllPrimes(), complex(2.0, bad), 100)
+
+    @pytest.mark.parametrize("bad", _NONFINITE)
+    def test_zeta_real_part(self, bad):
+        with pytest.raises(DomainError):
+            zeta_p(AllPrimes(), complex(bad, 0.0), 100)
+
+    @pytest.mark.parametrize("bad", _NONFINITE)
+    def test_log_residual_sigma(self, bad):
+        with pytest.raises(DomainError):
+            log_identity_residual(AllPrimes(), bad, 100)
+
+    @pytest.mark.parametrize("bad", _NONFINITE)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_scan_eps(self, bad, position):
+        eps = [0.5, 0.2]
+        eps[position] = bad
+        with pytest.raises(DomainError, match="finite"):
+            blowup_scan(1.0, 0.0, eps, prime_limit=100)
+
 
 class TestGsConstant:
     def test_integrand_vanishes_at_one(self):
