@@ -41,6 +41,7 @@ from .primes import (
     ResiduePrimes,
     is_member,
     is_prime,
+    member_flags,
     parse_spec,
     primes_in,
     render_spec,

@@ -17,11 +17,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 from .errors import DomainError
-from .primes import IntervalPrimes, PrimeSetSpec, primes_in, render_spec
-from .semigroup import _heap_stream, complement_table, member_table, table_tally, table_terms
+from .primes import IntervalPrimes, PrimeSetSpec, _prime_flags, _select, render_spec
+from .semigroup import _code_table, _heap_stream, _outside, table_tally, table_terms
 from .semigroup import tally
 from .sums import SumReport, _mu_stream, _report, _terms, _validate_mode_and_x
 from .sums import euler_product_partial, partial_sum
@@ -57,14 +58,16 @@ class ConvergenceRow:
     gap: float
 
 
-def _checked_grid_table(spec: PrimeSetSpec, x_grid: list[int]) -> bytearray:
+def _checked_grid_flags(spec: PrimeSetSpec, x_grid: list[int]) -> tuple[bytearray, bytearray]:
     """Validate every grid point as a float-mode partial sum would, then
-    build the one code table of <P> that all of them read."""
+    decide membership once: the prime flags and the member flags up to
+    max(x_grid) that every grid point reads."""
     if not x_grid:
         raise DomainError("x grid must be nonempty")
     for x in x_grid:
         _validate_mode_and_x("float", x)
-    return member_table(spec, max(x_grid))
+    primes = _prime_flags(max(x_grid))
+    return primes, _select(spec, primes)
 
 
 def _float_sum(table: bytearray, x: int) -> float:
@@ -78,10 +81,12 @@ def convergence_table(spec: PrimeSetSpec, x_grid: list[int]) -> list[Convergence
     (1 - 1/p) over members p <= x; their gap tends to zero as x grows."""
     if any(a >= b for a, b in zip(x_grid, x_grid[1:])):
         raise DomainError("x grid must be strictly ascending")
-    table = _checked_grid_table(spec, x_grid)
-    # One ascending pass of euler_product_partial: each grid point's product
-    # continues the previous one, multiplying in the same order.
-    members = iter(primes_in(spec, max(x_grid)))
+    primes, flags = _checked_grid_flags(spec, x_grid)
+    table = _code_table(primes, flags, max(x_grid))
+    # One ascending pass of euler_product_partial over the member flags the
+    # table was built from: each grid point's product continues the previous
+    # one, multiplying in the same order.
+    members = compress(range(len(flags)), flags)
     p = next(members, None)
     product_value = 1.0
     rows = []
@@ -150,8 +155,9 @@ def gran_residual(spec: PrimeSetSpec, x_grid: list[int]) -> list[GranResidualRow
     for x in x_grid:
         if x < 1:
             raise DomainError(f"gran residuals need x >= 1, got {x}")
-    inside = _checked_grid_table(spec, x_grid)
-    outside = complement_table(spec, max(x_grid))
+    primes, flags = _checked_grid_flags(spec, x_grid)
+    inside = _code_table(primes, flags, max(x_grid))
+    outside = _code_table(primes, _outside(primes, flags), max(x_grid))
     rows = []
     for x in x_grid:
         lhs = x * _float_sum(inside, x)

@@ -20,6 +20,13 @@ The textual grammar (used by the CLI ``--set`` argument) is::
         | residue:A mod M | logfrac:t=T,w=W,s=S
 
 ``parse_spec`` and ``render_spec`` round-trip every representable value.
+
+``member_flags`` decides membership for every prime up to a limit in one
+pass, as one byte per n.  The five arithmetic forms are slices of the prime
+flags.  Log-fraction membership is decided in double precision wherever the
+distance to the width boundary exceeds a generous bound on the rounding
+error, and by the extended-precision test of ``is_member`` inside that band,
+so both routes make the same decision for every prime.
 """
 
 from __future__ import annotations
@@ -27,8 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-
-from mpmath import mp
+from itertools import compress
 
 from .errors import DomainError, ResourceError, SpecParseError
 
@@ -37,11 +43,22 @@ from .errors import DomainError, ResourceError, SpecParseError
 # about prime counting beyond it.
 MAX_SIEVE_LIMIT = 10**8
 
-# Working precision (binary digits) for the log-fraction membership test.
-# Doubles carry 53 fraction bits; the policy asks for at least 64, so the
-# comparison is done in mpmath at 96 bits.  Membership within 1e-12 of the
-# boundary is accepted as-is and may be platform-sensitive.
+# Working precision (binary digits) of the reference log-fraction test,
+# which ``is_member`` runs for every prime and ``member_flags`` runs only
+# inside the band below.  The decision is the one at 96 bits in mpmath.
 LOGFRAC_PRECISION_BITS = 96
+
+# Certified double-precision filter.  In doubles, y = t*ln(p)/(2*pi) - shift
+# comes out within a few multiples of 2**-52 * (1 + |y|) of its exact value,
+# even if math.log is off by several ulps; the 96-bit reference value is far
+# closer still, and the distance to the nearest integer moves by at most as
+# much as y does.  So wherever the double distance is more than
+# 2**-30 * (1 + |y|) away from the width, the double decision is the
+# reference decision; inside that band the reference test decides.  From
+# |y| >= 2**29 on (an overflow to inf included) the band covers every
+# distance in [0, 1/2].
+_LOGFRAC_BAND = 2.0**-30
+_LOGFRAC_MAX_Y = 2.0**29
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -88,15 +105,19 @@ def sieve_primes(limit: int) -> PrimeTable:
 
     Raises ResourceError above MAX_SIEVE_LIMIT.
     """
+    _check_sieve_limit(limit)
+    return PrimeTable(limit, tuple(compress(range(limit + 1), _prime_flags(limit))))
+
+
+def _check_sieve_limit(limit: int) -> None:
+    """The sieve bound check, made before anything is allocated: DomainError
+    below 0, ResourceError above MAX_SIEVE_LIMIT."""
     if limit < 0:
         raise DomainError(f"sieve limit must be >= 0, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceError(
             f"sieve limit {limit} exceeds the configured ceiling {MAX_SIEVE_LIMIT}"
         )
-    if limit < 2:
-        return PrimeTable(limit, ())
-    return PrimeTable(limit, tuple(i for i, f in enumerate(_prime_flags(limit)) if f))
 
 
 def _prime_flags(limit: int) -> bytearray:
@@ -176,7 +197,8 @@ class ResiduePrimes(PrimeSetSpec):
 class LogFracPrimes(PrimeSetSpec):
     """Primes p whose value t*ln(p)/(2*pi) - shift is within ``width`` of an
     integer (distance to the nearest integer, so width 0.5 accepts every
-    prime).  The comparison runs at LOGFRAC_PRECISION_BITS of precision."""
+    prime).  Membership is the comparison at LOGFRAC_PRECISION_BITS of
+    precision."""
 
     t: float
     width: float
@@ -196,14 +218,27 @@ class LogFracPrimes(PrimeSetSpec):
 
 def _logfrac_distance(spec: LogFracPrimes, p: int):
     """Distance from t*ln(p)/(2*pi) - shift to the nearest integer (mpmath)."""
+    from mpmath import mp
+
     with mp.workprec(LOGFRAC_PRECISION_BITS):
         y = mp.mpf(spec.t) * mp.log(p) / (2 * mp.pi) - mp.mpf(spec.shift)
         frac = y - mp.floor(y)
         return min(frac, 1 - frac)
 
 
-def _member(spec: PrimeSetSpec, p: int) -> bool:
-    """Membership predicate; assumes p is prime."""
+def _logfrac_member(spec: LogFracPrimes, p: int) -> bool:
+    """The reference log-fraction test at LOGFRAC_PRECISION_BITS."""
+    return _logfrac_distance(spec, p) <= spec.width
+
+
+def is_member(spec: PrimeSetSpec, p: int) -> bool:
+    """True iff the prime p belongs to the set described by ``spec``, decided
+    for p alone (log-fraction sets by the reference test).
+
+    Raises DomainError when p is not prime.
+    """
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     if isinstance(spec, AllPrimes):
         return True
     if isinstance(spec, FinitePrimes):
@@ -215,32 +250,83 @@ def _member(spec: PrimeSetSpec, p: int) -> bool:
     if isinstance(spec, ResiduePrimes):
         return p % spec.m == spec.a
     if isinstance(spec, LogFracPrimes):
-        with mp.workprec(LOGFRAC_PRECISION_BITS):
-            return _logfrac_distance(spec, p) <= mp.mpf(spec.width)
+        return _logfrac_member(spec, p)
     raise TypeError(f"unknown prime-set form: {type(spec).__name__}")
 
 
-def is_member(spec: PrimeSetSpec, p: int) -> bool:
-    """True iff the prime p belongs to the set described by ``spec``.
+def member_flags(spec: PrimeSetSpec, limit: int) -> bytearray:
+    """flags[n] = 1 if n is a member of the set else 0, for 0 <= n <= limit.
 
-    Raises DomainError when p is not prime.
+    Raises DomainError below 0 and ResourceError above MAX_SIEVE_LIMIT, for
+    every form.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return _member(spec, p)
+    _check_sieve_limit(limit)
+    return _select(spec, _prime_flags(limit))
+
+
+def _select(spec: PrimeSetSpec, primes: bytearray) -> bytearray:
+    """Flags of the members among the primes flagged in ``primes`` (over
+    0..len(primes) - 1).  Leaves ``primes`` unchanged, but may return it."""
+    size = len(primes)
+    if isinstance(spec, AllPrimes):
+        return primes
+    if isinstance(spec, FinitePrimes):
+        flags = bytearray(size)
+        for p in spec.primes:
+            if p < size:
+                flags[p] = 1
+        return flags
+    if isinstance(spec, CofinitePrimes):
+        flags = bytearray(primes)
+        for p in spec.excluded:
+            if p < size:
+                flags[p] = 0
+        return flags
+    if isinstance(spec, IntervalPrimes):
+        # lo < p <= hi for an integer p means floor(lo) < p <= floor(hi).
+        flags = bytearray(size)
+        start = max(math.floor(spec.lo) + 1, 0)
+        stop = min(math.floor(spec.hi) + 1, size)
+        if start < stop:
+            flags[start:stop] = primes[start:stop]
+        return flags
+    if isinstance(spec, ResiduePrimes):
+        flags = bytearray(size)
+        flags[spec.a :: spec.m] = primes[spec.a :: spec.m]
+        return flags
+    if isinstance(spec, LogFracPrimes):
+        return _logfrac_flags(spec, primes)[0]
+    raise TypeError(f"unknown prime-set form: {type(spec).__name__}")
+
+
+def _logfrac_flags(spec: LogFracPrimes, primes: bytearray) -> tuple[bytearray, int]:
+    """Member flags of a log-fraction set among the flagged primes, and the
+    number of primes the reference test had to decide (see _LOGFRAC_BAND)."""
+    flags = bytearray(len(primes))
+    scale = spec.t / (2.0 * math.pi)
+    shift = spec.shift
+    width = spec.width
+    log = math.log
+    floor = math.floor
+    fallbacks = 0
+    for p in compress(range(len(primes)), primes):
+        y = scale * log(p) - shift
+        if -_LOGFRAC_MAX_Y < y < _LOGFRAC_MAX_Y:
+            frac = y - floor(y)
+            gap = (frac if frac <= 0.5 else 1.0 - frac) - width
+            if abs(gap) > _LOGFRAC_BAND * (1.0 + abs(y)):
+                if gap < 0.0:
+                    flags[p] = 1
+                continue
+        fallbacks += 1
+        if _logfrac_member(spec, p):
+            flags[p] = 1
+    return flags, fallbacks
 
 
 def primes_in(spec: PrimeSetSpec, limit: int) -> list[int]:
     """Ascending list of the members of the set that are <= limit."""
-    table = sieve_primes(limit)
-    if isinstance(spec, AllPrimes):
-        return list(table.primes)
-    if isinstance(spec, FinitePrimes):
-        return [p for p in spec.primes if p <= limit]
-    if isinstance(spec, CofinitePrimes):
-        banned = set(spec.excluded)
-        return [p for p in table.primes if p not in banned]
-    return [p for p in table.primes if _member(spec, p)]
+    return list(compress(range(limit + 1), member_flags(spec, limit)))
 
 
 _INT_RE = re.compile(r"-?\d+$")

@@ -24,15 +24,16 @@ import heapq
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, ResourceError, UsageError
-from .primes import FinitePrimes, PrimeSetSpec, _member, _prime_flags
+from .primes import FinitePrimes, PrimeSetSpec, _prime_flags, _select
 
 # Enumeration refuses x beyond this point.  Building the code table holds
 # one byte per n for the table and one for the prime flags it walks, plus
-# transient slice copies of at most x/2 bytes each (the multiples of 2 and
-# their translation): about 3 bytes per n, 300 MB at the ceiling.
+# either the member flags (until the table starts from them) or transient
+# slice copies of at most x/2 bytes each (the multiples of 2 and their
+# translation): about 3 bytes per n, 300 MB at the ceiling.
 MAX_ENUM_LIMIT = 10**8
 
 # auto backend: the heap is memory-light for sparse semigroups, the sieve is
@@ -45,6 +46,7 @@ _AUTO_HEAP_MIN_X = 10**6
 _FLIP = bytes((0, 2, 1, 3)) + bytes(252)  # one more prime factor
 _SQUARE = bytes((0, 3, 3, 3)) + bytes(252)  # a square factor
 _SQUAREFREE = bytes((0, 1, 1, 0)) + bytes(252)  # nonzero mu
+_START = bytes((1, 2)) + bytes(254)  # member flags to start codes
 _MU = (0, 1, -1, 0)
 
 
@@ -94,20 +96,23 @@ def check_enum_limit(x: int) -> None:
         )
 
 
-def _code_table(member: Callable[[int], bool], x: int) -> bytearray:
-    """Codes of 0..x for the semigroup of the primes accepted by ``member``.
+def _code_table(primes: bytearray, members: bytearray, x: int) -> bytearray:
+    """Codes of 0..x for the semigroup generated by the primes flagged in
+    ``members``, a subset of the prime flags ``primes``.
 
-    Every n starts as mu +1.  For each prime p <= x in turn: a member flips
-    the sign of its multiples and sets its square's multiples to mu 0; a
-    non-member zeroes its multiples.  Zero is fixed by both translations and
-    3 by the flip, so the order of the primes does not matter.
+    Every n starts as mu +1 and each member prime as mu -1 (its own sign
+    flip).  For each prime p <= x in turn: a member flips the sign of its
+    other multiples and sets its square's multiples to mu 0; a non-member
+    zeroes its multiples.  Zero is fixed by both translations and 3 by the
+    flip, so the order of the primes does not matter, and no prime's own
+    code changes before its turn.
     """
-    check_enum_limit(x)
-    table = bytearray(b"\x01") * (x + 1)
+    table = members.translate(_START)
+    del members  # freed early: the table now records which primes are members
     table[0] = 0
-    for p in compress(range(x + 1), _prime_flags(x)):
-        if member(p):
-            table[p::p] = table[p::p].translate(_FLIP)
+    for p in compress(range(x + 1), primes):
+        if table[p] == 2:
+            table[2 * p :: p] = table[2 * p :: p].translate(_FLIP)
             square = p * p
             if square <= x:
                 table[square::square] = table[square::square].translate(_SQUARE)
@@ -118,13 +123,25 @@ def _code_table(member: Callable[[int], bool], x: int) -> bytearray:
 
 def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
     """The code table of <P> up to x."""
-    return _code_table(partial(_member, spec), x)
+    check_enum_limit(x)
+    primes = _prime_flags(x)
+    return _code_table(primes, _select(spec, primes), x)
 
 
 def complement_table(spec: PrimeSetSpec, x: int) -> bytearray:
-    """The code table of <P'> up to x, built from the negated membership
-    predicate rather than from the table of <P>."""
-    return _code_table(lambda p: not _member(spec, p), x)
+    """The code table of <P'> up to x, generated by the prime flags minus the
+    member flags rather than read off the table of <P>."""
+    check_enum_limit(x)
+    primes = _prime_flags(x)
+    return _code_table(primes, _outside(primes, _select(spec, primes)), x)
+
+
+def _outside(primes: bytearray, members: bytearray) -> bytearray:
+    """The prime flags minus the member flags."""
+    flags = bytearray(primes)
+    for p in compress(range(len(members)), members):
+        flags[p] = 0
+    return flags
 
 
 def table_terms(table: bytearray, x: int, squarefree_only: bool) -> Iterator[tuple[int, int]]:

@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, UsageError
 from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
+from .primes import primes_in
 from .semigroup import check_enum_limit, count_members_outside, member_table, mobius
 from .semigroup import squarefree_terms, table_terms
 
@@ -283,8 +284,6 @@ def euler_product(spec: PrimeSetSpec) -> Fraction:
 def euler_product_partial(spec: PrimeSetSpec, prime_limit: int) -> float:
     """Truncated product of (1 - 1/p) over members p <= prime_limit, in
     floating arithmetic; non-increasing in the limit."""
-    from .primes import primes_in
-
     if prime_limit < 0:
         raise DomainError(f"prime limit must be >= 0, got {prime_limit}")
     result = 1.0

@@ -39,8 +39,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from .errors import DomainError
 from .primes import FinitePrimes, LogFracPrimes, PrimeSetSpec, primes_in
 
@@ -86,6 +84,8 @@ def _reduced_phases(members: list[int], t: float) -> list[float]:
     """t * ln(p) mod 2*pi for each member, reduced in extended precision."""
     if t == 0.0:
         return [0.0] * len(members)
+    from mpmath import mp
+
     with mp.workprec(_PHASE_PRECISION_BITS):
         two_pi = 2 * mp.pi
         tt = mp.mpf(t)
@@ -167,6 +167,11 @@ def blowup_scan(
         raise DomainError("eps values must be finite reals")
     if any(e <= 0 for e in eps_list):
         raise DomainError("eps values must be strictly positive")
+    if any(1.0 + e == 1.0 for e in eps_list):
+        raise DomainError(
+            "eps values must leave 1 + eps > 1 in double precision, so that "
+            "Re(s) > 1"
+        )
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps values must be strictly descending")
     spec = pathological_set(t, width, shift)

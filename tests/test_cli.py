@@ -349,6 +349,22 @@ class TestParserReuse:
         assert codes == [0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0]
 
 
+def test_float_commands_do_not_import_mpmath():
+    """mpmath is imported only by the extended-precision log-fraction test
+    and the zeta phases, so importing the CLI and running a sum leaves it
+    unloaded."""
+    code = (
+        "import sys, musum.cli\n"
+        "assert musum.cli.run(['sum', '--set', 'all', '--x', '1000']) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(musum.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 class TestBadInputExitCodes:
     """Malformed input maps to its documented exit code, with no traceback."""
 
@@ -414,6 +430,10 @@ class TestBadInputExitCodes:
             (("enumerate", "--set", "all", "--x", "-1"), None, EXIT_DOMAIN),
             (("enumerate", "--set", "all", "--x", "5", "--backend", "heap"), None, EXIT_USAGE),
             (("sweep", "--kind", "theorem1", "--trials", "0"), None, EXIT_USAGE),
+            # positive eps too small to move 1 + eps off 1 in double precision
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "1e-17"), None, EXIT_DOMAIN),
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "1e-320"), None, EXIT_DOMAIN),
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "0.5,1e-17"), None, EXIT_DOMAIN),
         ],
     )
     def test_documented_code_without_traceback(self, capsys, tmp_path, argv, replay, code):

@@ -1,11 +1,14 @@
 import math
+from itertools import compress
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from musum.errors import DomainError, ResourceError, SpecParseError
 from musum.primes import (
+    MAX_SIEVE_LIMIT,
     AllPrimes,
     CofinitePrimes,
     FinitePrimes,
@@ -14,11 +17,13 @@ from musum.primes import (
     ResiduePrimes,
     is_member,
     is_prime,
+    member_flags,
     parse_spec,
     primes_in,
     render_spec,
     sieve_primes,
 )
+from musum.primes import _logfrac_flags, _prime_flags
 
 from oracles import odd_wheel_sieve, trial_division_primes
 
@@ -201,3 +206,135 @@ def test_logfrac_precision_beats_doubles():
         dist = min(frac, 1.0 - frac)
         if abs(dist - spec.width) > 1e-12:
             assert is_member(spec, p) == (dist <= spec.width)
+
+
+_EDGE_SPECS = [
+    AllPrimes(),
+    FinitePrimes(()),
+    FinitePrimes((2, 5, 97, 101, 9973, 10007)),
+    CofinitePrimes(()),
+    CofinitePrimes((3, 97, 9973, 10007)),
+    IntervalPrimes(-10.5, 50.0),
+    IntervalPrimes(-20.0, -3.0),
+    IntervalPrimes(2.5, 96.9),
+    IntervalPrimes(2.0, 3.0),
+    IntervalPrimes(7.0, 7.0),
+    IntervalPrimes(50.0, 10.0),
+    IntervalPrimes(90.0, 1e12),
+    IntervalPrimes(1e12, 2e12),
+    ResiduePrimes(0, 7),
+    ResiduePrimes(14, 7),
+    ResiduePrimes(-1, 4),
+    ResiduePrimes(2, 4),
+    ResiduePrimes(3, 10007),
+    LogFracPrimes(-2.5, 0.1, 0.3),
+    LogFracPrimes(1e300, 0.1, 0.0),
+    LogFracPrimes(-1.7e308, 0.3, 0.5),
+    LogFracPrimes(3.0, 0.0, 0.2),
+    LogFracPrimes(3.0, 0.5, 0.7),
+]
+
+
+class TestMemberFlags:
+    """member_flags decides every prime at once; is_member decides one prime
+    by the per-prime predicate.  They must agree everywhere."""
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 97, 1000, 9973])
+    @pytest.mark.parametrize("spec", _EDGE_SPECS, ids=render_spec)
+    def test_agrees_with_is_member(self, spec, limit):
+        flags = member_flags(spec, limit)
+        assert len(flags) == limit + 1
+        want = bytearray(limit + 1)
+        for p in sieve_primes(limit).primes:
+            want[p] = is_member(spec, p)
+        assert flags == want
+        assert primes_in(spec, limit) == list(compress(range(limit + 1), want))
+
+    @pytest.mark.parametrize("spec", _EDGE_SPECS, ids=render_spec)
+    def test_limit_guard_precedes_allocation(self, spec):
+        with pytest.raises(DomainError):
+            member_flags(spec, -1)
+        with pytest.raises(ResourceError):
+            member_flags(spec, MAX_SIEVE_LIMIT + 1)
+        # a table this large could not be allocated, so the guard came first
+        with pytest.raises(ResourceError):
+            member_flags(spec, 10**18)
+
+    def test_primes_in_shares_the_guard(self):
+        with pytest.raises(ResourceError):
+            primes_in(FinitePrimes((2,)), 10**18)
+        with pytest.raises(DomainError):
+            primes_in(FinitePrimes((2,)), -1)
+
+
+# Reference for the identity test below: t*ln(p)/(2*pi) - s in fixed point
+# with _REF_BITS fraction bits, from 160-bit logarithms.  Its error is below
+# 2**-140 for the grid's |t| <= 1e4, far inside the 2**-64 margin beyond
+# which the 96-bit test of is_member must agree with it.
+_REF_BITS = 160
+_REF_ONE = 1 << _REF_BITS
+_REF_MARGIN = 1 << (_REF_BITS - 64)
+
+
+def _ref_fixed(value) -> int:
+    return int(mpmath.floor(value * _REF_ONE))
+
+
+def _ref_distances(t: float, shift: float, logs: list[int]):
+    """Fixed-point distance from t*ln(p)/(2*pi) - shift to the nearest
+    integer, for each fixed-point logarithm in ``logs``."""
+    with mpmath.mp.workprec(_REF_BITS + 32):
+        inv_two_pi = _ref_fixed(1 / (2 * mpmath.pi))
+    num, den = t.as_integer_ratio()
+    scale = num * inv_two_pi
+    drop = _REF_BITS + den.bit_length() - 1  # den is a power of two
+    snum, sden = shift.as_integer_ratio()
+    offset = (snum << _REF_BITS) // sden
+    for log in logs:
+        frac = (((scale * log) >> drop) - offset) & (_REF_ONE - 1)
+        yield min(frac, _REF_ONE - frac)
+
+
+def _placed_shift(t: float, width: float, p: int, side: int) -> float:
+    """A shift putting t*ln(p)/(2*pi) - shift within 2**-53 of distance
+    ``width`` from an integer (above it for side 1, below for side -1)."""
+    with mpmath.mp.workprec(200):
+        y = mpmath.mpf(t) * mpmath.log(p) / (2 * mpmath.pi) - side * mpmath.mpf(width)
+        return float(y - mpmath.floor(y)) % 1.0
+
+
+# (t, width, shift) triples; the placed ones put one sampled prime within
+# 1e-15 of the width boundary.
+_PLACED = [(1.0, 0.1, 2, 1), (-2.5, 0.25, 7919, -1), (5.0, 0.1, 104729, 1),
+           (1234.5, 0.3, 999983, -1), (1e4, 0.05, 65537, 1)]
+_IDENTITY_GRID = [(t, w, _placed_shift(t, w, p, side)) for t, w, p, side in _PLACED] + [
+    (0.37, 0.2, 0.0), (-7.0, 0.45, 0.5), (5.0, 0.0, 0.0)]
+
+
+def test_logfrac_decisions_identical_up_to_one_million():
+    """The double-precision filter with its reference fallback decides every
+    prime up to 1e6 as the 96-bit reference test does, on a grid whose
+    placed shifts make the fallback band do work."""
+    limit = 10**6
+    primes = _prime_flags(limit)
+    plist = list(compress(range(limit + 1), primes))
+    logs = [mpmath.libmp.to_fixed(mpmath.libmp.mpf_log(mpmath.libmp.from_int(p), _REF_BITS + 32),
+                                  _REF_BITS) for p in plist]
+    total_fallbacks = 0
+    for (t, width, shift), placed in zip(_IDENTITY_GRID, _PLACED + [None] * 3):
+        spec = LogFracPrimes(t, width, shift)
+        flags, fallbacks = _logfrac_flags(spec, primes)
+        wnum, wden = width.as_integer_ratio()
+        boundary = (wnum << _REF_BITS) // wden
+        for p, dist in zip(plist, _ref_distances(t, shift, logs)):
+            if abs(dist - boundary) > _REF_MARGIN:
+                want = dist <= boundary
+            else:
+                want = is_member(spec, p)
+            assert flags[p] == want, (spec, p)
+            if placed is not None and p == placed[2]:
+                assert abs(dist - boundary) < 1e-15 * _REF_ONE
+        if placed is not None:
+            assert fallbacks >= 1, spec
+        total_fallbacks += fallbacks
+    assert total_fallbacks > 0

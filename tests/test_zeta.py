@@ -150,6 +150,16 @@ class TestPathologicalFamilies:
         with pytest.raises(DomainError):
             blowup_scan(1.0, 0.0, [0.5, -0.1])
 
+    @pytest.mark.parametrize("eps", [[1e-17], [1e-320], [5e-324], [2.0**-53], [0.5, 1e-17]])
+    def test_scan_rejects_eps_lost_in_one_plus_eps(self, eps):
+        # 1 + eps == 1.0 would evaluate at Re(s) = 1, where no bound holds
+        with pytest.raises(DomainError, match="1 \\+ eps"):
+            blowup_scan(1.0, 0.0, eps, prime_limit=100)
+
+    def test_scan_accepts_the_smallest_eps_that_moves_one(self):
+        (row,) = blowup_scan(1.0, 0.0, [2.0**-52], prime_limit=100)
+        assert math.isfinite(row.modulus) and math.isfinite(row.log_tail_bound)
+
     @pytest.mark.parametrize(
         "t, shift, eps, width",
         [(1.0, 0.0, [0.5, 0.2, 0.05], 0.1), (2.5, 0.5, [0.3, 0.1], 0.2),
