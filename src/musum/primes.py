@@ -325,7 +325,11 @@ def _logfrac_flags(spec: LogFracPrimes, primes: bytearray) -> tuple[bytearray, i
 
 
 def primes_in(spec: PrimeSetSpec, limit: int) -> list[int]:
-    """Ascending list of the members of the set that are <= limit."""
+    """Ascending list of the members of the set that are <= limit; a finite
+    set's are read off its list, without sieving."""
+    if isinstance(spec, FinitePrimes):
+        _check_sieve_limit(limit)
+        return [p for p in spec.primes if p <= limit]
     return list(compress(range(limit + 1), member_flags(spec, limit)))
 
 

@@ -43,9 +43,9 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, UsageError
 from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
-from .primes import primes_in
-from .semigroup import check_enum_limit, count_members_outside, member_table, mobius
-from .semigroup import squarefree_terms, table_terms
+from .primes import _prime_flags, _select, primes_in
+from .semigroup import _code_table, _outside, check_enum_limit, member_table, mobius
+from .semigroup import squarefree_terms, table_tally, table_terms
 
 # Exact summation carries denominators that divide lcm(1..x); at x = 1e5
 # that is ~43000 decimal digits, so exact mode refuses larger x.  Finite
@@ -257,13 +257,22 @@ def zorn_check(spec: PrimeSetSpec, x: int) -> ZornIdentity:
     """Exact integer identity: the count of the complementary semigroup <P'>
     up to x equals sum over d in <P>, d <= x of mu(d) * floor(x/d).
 
-    Both sides are computed independently: the left by enumerating <P'> from
-    the complement membership predicate, the right from the <P> stream.
+    Both sides come from one membership pass but are counted independently:
+    the left on the code table of <P'>, built from the prime flags minus the
+    member flags, the right from the <P> stream (the heap for finite P, as
+    in squarefree_terms).
     """
     if x < 1:
         raise DomainError(f"zorn identity requires x >= 1, got {x}")
-    lhs = count_members_outside(spec, x)
-    rhs = sum(mu * (x // n) for n, mu in squarefree_terms(spec, x))
+    check_enum_limit(x)
+    primes = _prime_flags(x)
+    members = _select(spec, primes)
+    lhs = table_tally(_code_table(primes, _outside(primes, members), x), x)[0]
+    if isinstance(spec, FinitePrimes):
+        terms = squarefree_terms(spec, x)
+    else:
+        terms = table_terms(_code_table(primes, members, x), x, True)
+    rhs = sum(mu * (x // n) for n, mu in terms)
     return ZornIdentity(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

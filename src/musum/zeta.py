@@ -14,8 +14,15 @@ integral 2 * L**(1-sigma) / ((sigma-1) * ln L); for finite P the tail is the
 finite sum over the remaining generators instead.
 
 Factors are computed in double-precision complex arithmetic, but the phase
-of p**-it is reduced modulo 2*pi from an extended-precision logarithm so
-that large |t| cannot wash out the angle.
+t*ln(p) mod 2*pi of p**-it is reduced from an extended-precision logarithm
+so that large |t| cannot wash out the angle.  The phases are defined as the
+doubles that the mpmath reduction at _PHASE_PRECISION_BITS returns
+(``_reference_phases``).  ``_reduced_phases`` gets the same bits mostly in
+integer fixed point: it computes t*ln(p) mod 2*pi to within |t| * 2**-119,
+with an error band that also covers the reference's own error, and keeps the
+correctly rounded double only when no value inside the band rounds
+differently or wraps past 0 or 2*pi.  Every other prime goes to the
+reference (Ziv's scheme for correct rounding).
 
 ``blowup_scan`` drives this along s = 1 + eps + i*t for descending eps over
 the log-fraction prime families: the shift-0 family has every factor's
@@ -36,14 +43,39 @@ by adaptive Simpson quadrature; its decimal expansion begins -0.4553.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .primes import FinitePrimes, LogFracPrimes, PrimeSetSpec, primes_in
 
-# Phase reduction precision; see LOGFRAC_PRECISION_BITS in primes.
+# Working precision (binary digits) of the reference phase reduction.  At
+# 96 bits, ln p, its product with t, 2*pi and the reduced value each carry a
+# relative rounding error of at most 2**-95, so the reference lies within
+# (1 + |t*ln p|) * 2**-93 of the exact t*ln(p) mod 2*pi, unless the exact
+# value is that close to 0 or 2*pi and the reduction wraps.
 _PHASE_PRECISION_BITS = 96
+
+# Fixed-point phases: ln p, ln 2 and 2*pi are integers scaled by
+# 2**_PHASE_FRAC_BITS, each within 2**-120 of its value, so the fast phase
+# is within |t| * 2**-119 of the exact one (ln p >= ln 2, and each of the
+# |t*ln p| / (2*pi) periods taken off is itself that close).  The band
+# 2**-_PHASE_BAND_BITS * (1 + |t*ln p|) is 2**13 times the reference's
+# error bound and far wider than the fast route's own, so it holds both the
+# exact value and the reference.  The correctly rounded double of the fast
+# phase is the reference's whenever both ends of the band round to the same
+# double and the band stays inside (0, 2*pi), where the reference cannot
+# wrap.  No accepted phase is below 2**-_PHASE_BAND_BITS, so subnormal
+# phases, which mpmath rounds twice, all take the reference.
+_PHASE_FRAC_BITS = 128
+_PHASE_BAND_BITS = 80
+# ln p = k*ln 2 + ln(top) + 2*atanh(z) for the _LOG_TOP_BITS leading bits
+# `top` of p, with |z| < 2**-_LOG_TOP_BITS; the constants are summed with
+# _SERIES_GUARD_BITS more fractional bits and then rounded.
+_LOG_TOP_BITS = 9
+_LOG_TOP_LOW = 1 << (_LOG_TOP_BITS - 1)
+_SERIES_GUARD_BITS = 64
 
 DEFAULT_PRIME_LIMIT = 10**6
 DEFAULT_PATHOLOGICAL_WIDTH = 0.1
@@ -80,16 +112,117 @@ def _require_finite(what: str, value: float) -> None:
         raise DomainError(f"{what} must be a finite real, got {value}")
 
 
-def _reduced_phases(members: list[int], t: float) -> list[float]:
-    """t * ln(p) mod 2*pi for each member, reduced in extended precision."""
-    if t == 0.0:
-        return [0.0] * len(members)
+def _inverse_series(q: int, bits: int, sign: int) -> int:
+    """atanh(1/q) (sign 1) or arctan(1/q) (sign -1) times 2**bits, for an
+    integer q >= 2, with each term truncated."""
+    power = (1 << bits) // q
+    total = power
+    q2 = q * q
+    k = 3
+    term_sign = sign
+    while power:
+        power //= q2
+        total += term_sign * (power // k)
+        k += 2
+        term_sign *= sign
+    return total
+
+
+def _series_constants(bits: int) -> tuple[int, int, list[int]]:
+    """ln 2, 2*pi (Machin's formula) and ln(top) for each top with
+    _LOG_TOP_BITS bits, from _LOG_TOP_LOW up, all times 2**bits.  Each
+    ln(top + 1) adds 2*atanh(1 / (2*top + 1)) to ln(top)."""
+    ln2 = 2 * _inverse_series(3, bits, 1)
+    two_pi = 32 * _inverse_series(5, bits, -1) - 8 * _inverse_series(239, bits, -1)
+    logs = [(_LOG_TOP_BITS - 1) * ln2]
+    for top in range(_LOG_TOP_LOW, 2 * _LOG_TOP_LOW - 1):
+        logs.append(logs[-1] + 2 * _inverse_series(2 * top + 1, bits, 1))
+    return ln2, two_pi, logs
+
+
+@functools.cache
+def _fixed_point_constants() -> tuple[int, int, tuple[int, ...]]:
+    """The series constants rounded to _PHASE_FRAC_BITS fractional bits,
+    built on first use (about 1 ms) so that importing costs nothing."""
+    ln2, two_pi, logs = _series_constants(_PHASE_FRAC_BITS + _SERIES_GUARD_BITS)
+    half = 1 << (_SERIES_GUARD_BITS - 1)
+    ln2, two_pi, *logs = [(c + half) >> _SERIES_GUARD_BITS for c in (ln2, two_pi, *logs)]
+    return ln2, two_pi, tuple(logs)
+
+
+def _fixed_log(p: int, ln2: int, log_top: tuple[int, ...]) -> int:
+    """ln p times 2**_PHASE_FRAC_BITS, within 2**-120 of it, for an integer
+    2 <= p < 2**64, from the fixed-point ln 2 and ln(top) table."""
+    shift = p.bit_length() - _LOG_TOP_BITS
+    if shift <= 0:
+        return log_top[(p << -shift) - _LOG_TOP_LOW] + shift * ln2
+    top = p >> shift
+    base = top << shift
+    # ln(p / base) = 2*atanh(a/b) with 0 <= a/b < 2**-_LOG_TOP_BITS.
+    a = p - base
+    b = p + base
+    term = (a << (_PHASE_FRAC_BITS + 1)) // b
+    total = term
+    a2 = a * a
+    b2 = b * b
+    k = 3
+    while term:
+        term = term * a2 // b2
+        total += term // k
+        k += 2
+    return log_top[top - _LOG_TOP_LOW] + shift * ln2 + total
+
+
+def _reference_phases(members: list[int], t: float) -> list[float]:
+    """t * ln(p) mod 2*pi for each member, reduced in mpmath at
+    _PHASE_PRECISION_BITS; these bits define the phases."""
     from mpmath import mp
 
     with mp.workprec(_PHASE_PRECISION_BITS):
         two_pi = 2 * mp.pi
         tt = mp.mpf(t)
         return [float((tt * mp.log(p)) % two_pi) for p in members]
+
+
+def _reduced_phases(members: list[int], t: float) -> tuple[list[float], int]:
+    """The reference phases of the members, and the number of members whose
+    phase the reference had to give (see _PHASE_BAND_BITS)."""
+    if t == 0.0:
+        return [0.0] * len(members), 0
+    # t = num / den exactly, with den a power of two; the phase of p is
+    # r / scale for r = num * L mod period, with L the fixed-point ln p.
+    ln2, two_pi, log_top = _fixed_point_constants()
+    num, den = t.as_integer_ratio()
+    scale = den << _PHASE_FRAC_BITS
+    period = two_pi * den
+    floor_band = den << (_PHASE_FRAC_BITS - _PHASE_BAND_BITS)
+    magnitude = abs(num)
+    phases = []
+    doubtful = []
+    for i, p in enumerate(members):
+        log_p = _fixed_log(p, ln2, log_top)
+        r = num * log_p % period
+        band = floor_band + (magnitude * log_p >> _PHASE_BAND_BITS)
+        if r < period - band:
+            # int / int is correctly rounded, and rounding is monotone.  Up
+            # to r = band the lower end rounds to 0.0 or below and the upper
+            # end above it, so phases that small take the reference.
+            low = (r - band) / scale
+            if low == (r + band) / scale:
+                phases.append(low)
+                continue
+        doubtful.append(i)
+        phases.append(0.0)
+    if doubtful:
+        reference = _reference_phases([members[i] for i in doubtful], t)
+        for i, phase in zip(doubtful, reference):
+            phases[i] = phase
+    return phases, len(doubtful)
+
+
+def _require_prime_limit(prime_limit: int) -> None:
+    if prime_limit < 2:
+        raise DomainError(f"prime limit must be >= 2, got {prime_limit}")
 
 
 def _tail_bound(spec: PrimeSetSpec, sigma: float, prime_limit: int) -> float:
@@ -113,13 +246,12 @@ def zeta_p(spec: PrimeSetSpec, s: complex, prime_limit: int) -> ZetaEval:
     _require_right_of_one(s.real)
     _require_finite("Re(s)", s.real)
     _require_finite("Im(s)", s.imag)
-    if prime_limit < 2:
-        raise DomainError(f"prime limit must be >= 2, got {prime_limit}")
+    _require_prime_limit(prime_limit)
     members = primes_in(spec, prime_limit)
     return ZetaEval(
         s=s,
         prime_limit=prime_limit,
-        value=_truncated_product(members, _reduced_phases(members, s.imag), s.real),
+        value=_truncated_product(members, _reduced_phases(members, s.imag)[0], s.real),
         log_tail_bound=_tail_bound(spec, s.real, prime_limit),
     )
 
@@ -134,8 +266,7 @@ def log_identity_residual(spec: PrimeSetSpec, sigma: float, prime_limit: int) ->
     """
     _require_right_of_one(sigma)
     _require_finite("sigma", sigma)
-    if prime_limit < 2:
-        raise DomainError(f"prime limit must be >= 2, got {prime_limit}")
+    _require_prime_limit(prime_limit)
     members = primes_in(spec, prime_limit)
     return math.fsum(-math.log1p(-(p ** -sigma)) - p ** -sigma for p in members)
 
@@ -174,9 +305,10 @@ def blowup_scan(
         )
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps values must be strictly descending")
+    _require_prime_limit(prime_limit)
     spec = pathological_set(t, width, shift)
     members = primes_in(spec, prime_limit)
-    phases = _reduced_phases(members, t)
+    phases = _reduced_phases(members, t)[0]
     rows = []
     for eps in eps_list:
         sigma = 1.0 + eps

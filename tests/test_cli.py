@@ -365,6 +365,22 @@ def test_float_commands_do_not_import_mpmath():
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_zeta_phases_do_not_import_mpmath():
+    """The fixed-point phases need the mpmath reference only for phases too
+    close to a rounding boundary; none is at Im(s) = 1 up to 1000."""
+    code = (
+        "import sys, musum.cli\n"
+        "argv = ['zeta', '--set', 'all', '--re', '2', '--im', '1', '--prime-limit', '1000']\n"
+        "assert musum.cli.run(argv) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(musum.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 class TestBadInputExitCodes:
     """Malformed input maps to its documented exit code, with no traceback."""
 
@@ -434,6 +450,11 @@ class TestBadInputExitCodes:
             (("blowup", "--t", "1", "--shift", "0", "--eps", "1e-17"), None, EXIT_DOMAIN),
             (("blowup", "--t", "1", "--shift", "0", "--eps", "1e-320"), None, EXIT_DOMAIN),
             (("blowup", "--t", "1", "--shift", "0", "--eps", "0.5,1e-17"), None, EXIT_DOMAIN),
+            # a prime limit below 2 leaves no tail bound (ln 1 = 0)
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "0.5", "--prime-limit", "0"), None,
+             EXIT_DOMAIN),
+            (("blowup", "--t", "1", "--shift", "0", "--eps", "0.5", "--prime-limit", "1"), None,
+             EXIT_DOMAIN),
         ],
     )
     def test_documented_code_without_traceback(self, capsys, tmp_path, argv, replay, code):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import compress
 
 import mpmath
@@ -259,6 +260,17 @@ class TestMemberFlags:
         # a table this large could not be allocated, so the guard came first
         with pytest.raises(ResourceError):
             member_flags(spec, 10**18)
+
+    def test_finite_primes_in_skips_the_sieve(self):
+        tracemalloc.start()
+        try:
+            got = primes_in(FinitePrimes((2, 3, 1000003)), MAX_SIEVE_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [2, 3, 1000003]
+        assert peak < 10**6
+        assert primes_in(FinitePrimes((2, 3, 1000003)), 1000002) == [2, 3]
 
     def test_primes_in_shares_the_guard(self):
         with pytest.raises(ResourceError):

@@ -27,7 +27,7 @@ from musum.primes import (
     is_member,
     parse_spec,
 )
-from musum.semigroup import count_members_outside, enumerate_terms
+from musum.semigroup import count_members_outside, enumerate_terms, squarefree_terms
 from musum.sums import (
     EXACT_CEILING,
     SumReport,
@@ -209,6 +209,18 @@ class TestZornIdentity:
     def test_empty_set(self):
         res = zorn_check(FinitePrimes(()), 7)
         assert (res.lhs, res.rhs, res.equal) == (7, 7, True)
+
+    def test_sides_match_their_own_routes(self):
+        # one membership pass feeds both sides; each must still equal the
+        # count or sum taken on its own
+        specs = [AllPrimes(), FinitePrimes((3, 7)), IntervalPrimes(10, 400),
+                 LogFracPrimes(5.0, 0.1, 0.3)]
+        for spec in specs:
+            for x in (1, 2, 997, 5000):
+                res = zorn_check(spec, x)
+                assert res.lhs == count_members_outside(spec, x), (spec, x)
+                assert res.rhs == sum(mu * (x // n) for n, mu in squarefree_terms(spec, x))
+                assert res.equal
 
     def test_random_specs(self):
         rng = random.Random(11)

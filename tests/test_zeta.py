@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from musum.errors import DomainError
-from musum.primes import AllPrimes, CofinitePrimes, FinitePrimes, LogFracPrimes
+from musum.primes import AllPrimes, CofinitePrimes, FinitePrimes, LogFracPrimes, primes_in
 from musum.zeta import (
     ScanRow,
     blowup_scan,
@@ -15,6 +15,16 @@ from musum.zeta import (
     pathological_set,
     simpson_integral,
     zeta_p,
+)
+from musum.zeta import (
+    _LOG_TOP_LOW,
+    _PHASE_FRAC_BITS,
+    _SERIES_GUARD_BITS,
+    _fixed_log,
+    _fixed_point_constants,
+    _reduced_phases,
+    _reference_phases,
+    _series_constants,
 )
 
 from oracles import basel_sum_oracle, trial_division_primes
@@ -173,6 +183,62 @@ class TestPathologicalFamilies:
             assert row.value == single.value
             assert row.modulus == abs(single.value)
             assert row.log_tail_bound == single.log_tail_bound
+
+
+class TestPhaseReduction:
+    """The fixed-point phases with their reference fallback give the bits of
+    the mpmath reference for every member."""
+
+    _PRIMES = primes_in(AllPrimes(), 10**5)
+
+    @pytest.mark.parametrize("t", [-7.3, 29.9, 1e-5, 1e6, -1e6])
+    def test_bits_match_the_reference(self, t):
+        phases, fallbacks = _reduced_phases(self._PRIMES, t)
+        want = _reference_phases(self._PRIMES, t)
+        assert [x.hex() for x in phases] == [x.hex() for x in want]
+        if abs(t) == 1e6:
+            # the band is about 1e-17 wide here, so some phases need the
+            # reference
+            assert fallbacks > 0
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-310])
+    def test_subnormal_scales_take_the_reference(self, t):
+        # Every phase lies below the band, so all come from the reference,
+        # which alone rounds subnormal values as mpmath does.
+        phases, fallbacks = _reduced_phases(self._PRIMES, t)
+        assert fallbacks == len(self._PRIMES)
+        assert phases[0] == _reference_phases([2], t)[0]
+
+    def test_bits_match_the_reference_up_to_one_million(self):
+        members = primes_in(AllPrimes(), 10**6)
+        phases, _ = _reduced_phases(members, 1.0)
+        want = _reference_phases(members, 1.0)
+        assert [x.hex() for x in phases] == [x.hex() for x in want]
+
+    def test_zero_scale_needs_no_reference(self):
+        assert _reduced_phases([2, 3, 5], 0.0) == ([0.0, 0.0, 0.0], 0)
+
+    def test_series_constants_match_mpmath(self):
+        bits = _PHASE_FRAC_BITS + _SERIES_GUARD_BITS
+        ln2, two_pi, logs = _series_constants(bits)
+        assert len(logs) == _LOG_TOP_LOW
+        with mpmath.mp.workprec(200):
+            one = mpmath.mpf(2) ** bits
+            tolerance = mpmath.mpf(2) ** -150
+            assert abs(ln2 / one - mpmath.log(2)) < tolerance
+            assert abs(two_pi / one - 2 * mpmath.pi) < tolerance
+            for top, log in enumerate(logs, _LOG_TOP_LOW):
+                assert abs(log / one - mpmath.log(top)) < tolerance, top
+
+    def test_fixed_log_matches_mpmath(self):
+        # below, at and above the table's bit length
+        samples = [2, 3, 5, 251, 257, 509, 7919, 65537, 999983, 2**31 - 1, 2**61 - 1]
+        ln2, _, log_top = _fixed_point_constants()
+        with mpmath.mp.workprec(200):
+            for p in samples:
+                fixed = _fixed_log(p, ln2, log_top)
+                error = fixed / mpmath.mpf(2) ** _PHASE_FRAC_BITS - mpmath.log(p)
+                assert abs(error) < mpmath.mpf(2) ** -120, p
 
 
 _NONFINITE = [math.nan, math.inf, -math.inf]
