@@ -544,6 +544,9 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse turns the value "--" ("--set=--") into an empty list.
+        if [] in vars(args).values():
+            raise UsageError("an argument's value cannot be --")
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE

@@ -21,10 +21,10 @@ from itertools import compress
 from pathlib import Path
 
 from .errors import DomainError
-from .primes import IntervalPrimes, PrimeSetSpec, _prime_flags, _select, render_spec
-from .semigroup import _code_table, _heap_stream, _outside, table_tally, table_terms
-from .semigroup import tally
-from .sums import SumReport, _mu_stream, _report, _terms, _validate_mode_and_x
+from .primes import AllPrimes, IntervalPrimes, PrimeSetSpec, _prime_flags, _select, render_spec
+from .semigroup import _code_table, _heap_stream, _outside, squarefree_terms, table_tally
+from .semigroup import table_terms, tally
+from .sums import SumReport, _report, _validate_mode_and_x
 from .sums import euler_product_partial, partial_sum
 
 # Euler-Mascheroni constant, 20 decimal digits (OEIS A001620).
@@ -72,8 +72,8 @@ def _checked_grid_flags(spec: PrimeSetSpec, x_grid: list[int]) -> tuple[bytearra
 
 def _float_sum(table: bytearray, x: int) -> float:
     """partial_sum(spec, x, "float").value_float read off a code table of <P>
-    built up to x or beyond (fsum does not depend on the terms' route)."""
-    return _report("", x, "float", _terms(table_terms(table, x, True))).value_float
+    built up to x or beyond: fsum of the same quotients mu/n, in any order."""
+    return math.fsum(mu / n for n, mu in table_terms(table, x, True))
 
 
 def convergence_table(spec: PrimeSetSpec, x_grid: list[int]) -> list[ConvergenceRow]:
@@ -184,7 +184,7 @@ def semiprime_sum(x: int, mode: str = "exact") -> SumReport:
     _validate_mode_and_x(mode, x)
     # mu(n) = +1 means squarefree with evenly many prime factors, which are
     # exactly the members with a nonzero term.
-    terms = ((n, 1, n) for n, mu in _mu_stream(x) if mu == 1)
+    terms = ((1, n) for n, mu in squarefree_terms(AllPrimes(), x) if mu == 1)
     return _report("semiprime", x, mode, terms)
 
 
@@ -195,7 +195,7 @@ def semiprime_crossing(threshold: float = 2.0, limit: int = 10**6) -> int | None
     if limit < 1:
         return None
     total = 0.0
-    for n, mu in _mu_stream(limit):
+    for n, mu in squarefree_terms(AllPrimes(), limit):
         if mu == 1:
             total += 1.0 / n
             if total > threshold:

@@ -21,20 +21,22 @@ streams to be identical.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, ResourceError, UsageError
-from .primes import FinitePrimes, PrimeSetSpec, _prime_flags, _select
+from .primes import MAX_SIEVE_LIMIT, FinitePrimes, PrimeSetSpec, _prime_flags, _select
 
-# Enumeration refuses x beyond this point.  Building the code table holds
-# one byte per n for the table and one for the prime flags it walks, plus
-# either the member flags (until the table starts from them) or transient
-# slice copies of at most x/2 bytes each (the multiples of 2 and their
-# translation): about 3 bytes per n, 300 MB at the ceiling.
-MAX_ENUM_LIMIT = 10**8
+# Enumeration refuses x beyond the sieve's ceiling: every table walks the
+# prime flags up to x.  Peak bytes per n (tracemalloc at x = 1e6, plus a few
+# KB): 3 for member_table and all that reads one table (the table, the prime
+# flags, and the member flags or a slice copy of x/2 bytes and its
+# translation); 4 for zorn_check and convergence_table, which also keep the
+# member flags; 5 for gran_residual (both tables too).  300-500 MB at 1e8.
+MAX_ENUM_LIMIT = MAX_SIEVE_LIMIT
 
 # auto backend: the heap is memory-light for sparse semigroups, the sieve is
 # cache-efficient for dense ones.
@@ -65,24 +67,30 @@ class EnumerationOptions:
     backend: str = "auto"  # sieve | heap | auto
 
 
+def _distinct_prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    m = n
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append(m)
+    return tuple(out)
+
+
 def mobius(n: int) -> int:
     """Classical Mobius function: 0 if a square divides n, else (-1)**(number
     of distinct prime factors); mobius(1) = 1."""
     if n < 1:
         raise DomainError(f"mobius is defined for n >= 1, got {n}")
-    result = 1
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            result = -result
-        d += 1 if d == 2 else 2
-    if m > 1:
-        result = -result
-    return result
+    primes = _distinct_prime_factors(n)
+    # n is squarefree exactly when its distinct primes multiply back to n.
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 def check_enum_limit(x: int) -> None:

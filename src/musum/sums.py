@@ -44,8 +44,8 @@ from typing import Iterable, Iterator, Mapping
 from .errors import DomainError, UsageError
 from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
 from .primes import _prime_flags, _select, primes_in
-from .semigroup import _code_table, _outside, check_enum_limit, member_table, mobius
-from .semigroup import squarefree_terms, table_tally, table_terms
+from .semigroup import _code_table, _distinct_prime_factors, _heap_stream, _outside
+from .semigroup import check_enum_limit, mobius, squarefree_terms, table_tally, table_terms
 
 # Exact summation carries denominators that divide lcm(1..x); at x = 1e5
 # that is ~43000 decimal digits, so exact mode refuses larger x.  Finite
@@ -59,9 +59,9 @@ FLOAT_ERROR_PER_TERM = 4 * sys.float_info.epsilon
 
 MODES = ("exact", "float")
 
-# A term is (n, num, den) for the contribution num/den at position n; terms
-# always arrive ordered by strictly increasing n.
-Term = tuple[int, int, int]
+# A term is (num, den) for the contribution num/den; terms arrive in the
+# order of strictly increasing n.
+Term = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _merge_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
 
 def _report(params: str, x: int, mode: str, terms: Iterable[Term]) -> SumReport:
     if mode == "exact":
-        num, den, count = _merge_sum((a, b) for _, a, b in terms if a)
+        num, den, count = _merge_sum((a, b) for a, b in terms if a)
         total = Fraction(num, den)  # the one reduction
         value, bound, bound_ok = float(total), 0.0, abs(total) <= 1
     else:
@@ -156,7 +156,7 @@ def _report(params: str, x: int, mode: str, terms: Iterable[Term]) -> SumReport:
 
         def quotients():
             nonlocal count
-            for _, num, den in terms:
+            for num, den in terms:
                 if num:
                     count += 1
                     yield num / den
@@ -176,17 +176,8 @@ def partial_sum(spec: PrimeSetSpec, x: int, mode: str = "exact") -> SumReport:
     generating set.
     """
     _validate_mode_and_x(mode, x)
-    return _report(render_spec(spec), x, mode, _terms(squarefree_terms(spec, x)))
-
-
-def _terms(pairs: Iterable[tuple[int, int]]) -> Iterator[Term]:
-    """The terms mu(n)/n of ascending (n, mu(n)) pairs."""
-    return ((n, mu, n) for n, mu in pairs)
-
-
-def _mu_stream(x: int) -> Iterator[tuple[int, int]]:
-    """(n, mu(n)) for squarefree 1 <= n <= x, from the table of all primes."""
-    return table_terms(member_table(AllPrimes(), x), x, True)
+    terms = ((mu, n) for n, mu in squarefree_terms(spec, x))
+    return _report(render_spec(spec), x, mode, terms)
 
 
 def partial_sum_coprime(P: int, x: int, mode: str = "exact") -> SumReport:
@@ -198,23 +189,8 @@ def partial_sum_coprime(P: int, x: int, mode: str = "exact") -> SumReport:
     if P < 1:
         raise DomainError(f"coprimality modulus must be >= 1, got {P}")
     _validate_mode_and_x(mode, x)
-    terms = ((n, mu, n) for n, mu in _mu_stream(x) if math.gcd(n, P) == 1)
+    terms = ((mu, n) for n, mu in squarefree_terms(AllPrimes(), x) if math.gcd(n, P) == 1)
     return _report(f"coprime:P={P}", x, mode, terms)
-
-
-def _distinct_prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def partial_sum_divisors(N: int, x: int, mode: str = "exact") -> SumReport:
@@ -226,10 +202,8 @@ def partial_sum_divisors(N: int, x: int, mode: str = "exact") -> SumReport:
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     _validate_mode_and_x(mode, x)
-    divisors = [(1, 1)]
-    for p in _distinct_prime_factors(N):
-        divisors += [(dv * p, -mu) for dv, mu in divisors]
-    terms = ((dv, mu, dv) for dv, mu in sorted(divisors) if dv <= x)
+    # The divisors with nonzero mu are the squarefree products of N's primes.
+    terms = ((mu, d) for d, mu in _heap_stream(_distinct_prime_factors(N), x, True))
     return _report(f"divisors:N={N}", x, mode, terms)
 
 
@@ -247,9 +221,8 @@ def partial_sum_shifted(m: int, x: int, mode: str = "exact") -> SumReport:
     if mu_m == 0:
         terms: Iterable[Term] = ()
     else:
-        terms = (
-            (n, mu_m * mu, n) for n, mu in _mu_stream(x) if math.gcd(n, m) == 1
-        )
+        pairs = squarefree_terms(AllPrimes(), x)
+        terms = ((mu_m * mu, n) for n, mu in pairs if math.gcd(n, m) == 1)
     return _report(f"shifted:m={m}", x, mode, terms)
 
 
@@ -335,7 +308,7 @@ def _weighted_terms(pairs: Iterable[tuple[int, int]], a: WeightFunction) -> Iter
             if n % p == 0:
                 num *= w.numerator
                 den *= w.denominator
-        yield n, num, den
+        yield num, den
 
 
 def weighted_partial_sum(a: WeightFunction, x: int, mode: str = "exact") -> SumReport:
@@ -349,15 +322,12 @@ def weighted_partial_sum(a: WeightFunction, x: int, mode: str = "exact") -> SumR
     _validate_mode_and_x(mode, x)
     # Unassigned primes weigh the default: with 0 only the semigroup of the
     # assigned support contributes, with 1 every squarefree n <= x does.
-    if a.default_value == 0:
-        pairs = squarefree_terms(FinitePrimes(tuple(a.assignments)), x)
-    else:
-        pairs = _mu_stream(x)
-    return _report(repr(a), x, mode, _weighted_terms(pairs, a))
+    support = FinitePrimes(tuple(a.assignments)) if a.default_value == 0 else AllPrimes()
+    return _report(repr(a), x, mode, _weighted_terms(squarefree_terms(support, x), a))
 
 
 def spec_of_coprime_modulus(P: int) -> PrimeSetSpec:
     """The prime set {p : p does not divide P} as a cofinite description."""
     if P < 1:
         raise DomainError(f"coprimality modulus must be >= 1, got {P}")
-    return CofinitePrimes(tuple(_distinct_prime_factors(P)))
+    return CofinitePrimes(_distinct_prime_factors(P))

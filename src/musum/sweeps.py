@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import UsageError
 from .primes import (
@@ -197,9 +198,13 @@ def run_sweep(kind: str, trials: int, seed: int) -> SweepResult:
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
+    return _check_all(kind, trials, seed, (generate_instance(kind, rng) for _ in range(trials)))
+
+
+def _check_all(kind: str, trials: int, seed: int | None, instances: Iterable[dict]) -> SweepResult:
+    """Check each instance in turn, recording it and its verdict."""
     result = SweepResult(kind=kind, trials=trials, seed=seed, passed=0)
-    for _ in range(trials):
-        instance = generate_instance(kind, rng)
+    for instance in instances:
         result.instances.append(instance)
         failure = check_instance(instance)
         if failure is None:
@@ -243,12 +248,4 @@ def replay_instances(instances: list[dict]) -> SweepResult:
         raise UsageError(f"a replay must be a list of instances, got {type(instances).__name__}")
     for instance in instances:
         _check_fields(instance)
-    result = SweepResult(kind="replay", trials=len(instances), seed=None, passed=0)
-    for instance in instances:
-        result.instances.append(instance)
-        failure = check_instance(instance)
-        if failure is None:
-            result.passed += 1
-        else:
-            result.failures.append(failure)
-    return result
+    return _check_all("replay", len(instances), None, instances)

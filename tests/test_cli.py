@@ -455,6 +455,11 @@ class TestBadInputExitCodes:
              EXIT_DOMAIN),
             (("blowup", "--t", "1", "--shift", "0", "--eps", "0.5", "--prime-limit", "1"), None,
              EXIT_DOMAIN),
+            # argparse reads the value "--" as no value at all
+            (("zorn", "--set=--", "--x", "5"), None, EXIT_USAGE),
+            (("sum", "--set", "all", "--x=--"), None, EXIT_USAGE),
+            (("gs-const", "--out=--"), None, EXIT_USAGE),
+            (("gs-const", "--format=--"), None, EXIT_USAGE),
         ],
     )
     def test_documented_code_without_traceback(self, capsys, tmp_path, argv, replay, code):

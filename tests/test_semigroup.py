@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from musum.errors import DomainError, UsageError
-from musum.experiments import mean_mobius
+from musum.experiments import convergence_table, gran_residual, mean_mobius
 from musum.primes import (
     AllPrimes,
     CofinitePrimes,
@@ -23,8 +24,10 @@ from musum.semigroup import (
     count_members_outside,
     density,
     enumerate_terms,
+    member_table,
     mobius,
 )
+from musum.sums import zorn_check
 
 from oracles import mobius_bruteforce, semigroup_members
 
@@ -44,7 +47,10 @@ class TestMobius:
             mobius(0)
 
     def test_against_bruteforce(self):
-        for n in range(1, 3000):
+        # Past 3000: primes near 1e5 squared, cubed or times another's square.
+        # mobius calls n squarefree when its distinct primes multiply back to n.
+        near = [99991**2, 99991**3, 99991 * 99989**2, 99989 * 99991**2, 99991 * 99989]
+        for n in [*range(1, 3000), *near]:
             assert mobius(n) == mobius_bruteforce(n)
 
     def test_multiplicative_on_coprime_pairs(self):
@@ -225,3 +231,26 @@ class TestCodeTableAgainstOracle:
         assert _stream(spec, x, backend="sieve") == members
         assert count_members(spec, x) == len(members)
         assert count_members_outside(spec, x) == len(_oracle(index, x, True))
+
+
+# The peak bytes per n of x that the MAX_ENUM_LIMIT comment states for each
+# route, plus the few KB of Python objects any call holds.
+@pytest.mark.parametrize(
+    "route, per_n",
+    [
+        (member_table, 3),
+        (zorn_check, 4),
+        (lambda spec, x: convergence_table(spec, [x]), 4),
+        (lambda spec, x: gran_residual(spec, [x]), 5),
+    ],
+    ids=["member_table", "zorn_check", "convergence_table", "gran_residual"],
+)
+def test_table_routes_stay_within_their_stated_memory(route, per_n):
+    x = 10**6
+    tracemalloc.start()
+    try:
+        route(ResiduePrimes(1, 4), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_n * x + 64 * 1024
