@@ -121,16 +121,21 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; an OSError becomes a ResourceError."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ResourceError(f"cannot write to {path}: {exc}") from exc
+
+
 def emit(report: Report, fmt: str, out: str) -> None:
     text = report.render(fmt)
     if out == "-":
         sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ResourceError(f"cannot write to {out}: {exc}") from exc
+    else:
+        _write(out, text)
 
 
 def _fields_report(result: Any) -> Report:
@@ -375,12 +380,7 @@ def _cmd_sweep(args) -> Report:
     else:
         result = sweeps.run_sweep(args.kind, args.trials, args.seed)
     if args.dump is not None:
-        try:
-            with open(args.dump, "w", encoding="utf-8") as handle:
-                json.dump(result.instances, handle, indent=1)
-                handle.write("\n")
-        except OSError as exc:
-            raise ResourceError(f"cannot write to {args.dump}: {exc}") from exc
+        _write(args.dump, json.dumps(result.instances, indent=1) + "\n")
     pairs = [
         ("kind", result.kind),
         ("trials", result.trials),

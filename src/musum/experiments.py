@@ -17,15 +17,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 from .errors import DomainError
-from .primes import AllPrimes, IntervalPrimes, PrimeSetSpec, _prime_flags, _select, render_spec
-from .semigroup import _code_table, _heap_stream, _outside, squarefree_terms, table_tally
-from .semigroup import table_terms, tally
+from .primes import AllPrimes, IntervalPrimes, PrimeSetSpec, render_spec
+from .semigroup import _heap_stream, code_tables, member_table, squarefree_terms, table_primes
+from .semigroup import table_tally, table_terms, tally
 from .sums import SumReport, _report, _validate_mode_and_x
-from .sums import euler_product_partial, partial_sum
 
 # Euler-Mascheroni constant, 20 decimal digits (OEIS A001620).
 EULER_MASCHERONI = 0.57721566490153286061
@@ -58,16 +56,13 @@ class ConvergenceRow:
     gap: float
 
 
-def _checked_grid_flags(spec: PrimeSetSpec, x_grid: list[int]) -> tuple[bytearray, bytearray]:
-    """Validate every grid point as a float-mode partial sum would, then
-    decide membership once: the prime flags and the member flags up to
-    max(x_grid) that every grid point reads."""
+def _checked_grid_max(x_grid: list[int]) -> int:
+    """Validate each grid point as a float-mode partial sum would; the largest."""
     if not x_grid:
         raise DomainError("x grid must be nonempty")
     for x in x_grid:
         _validate_mode_and_x("float", x)
-    primes = _prime_flags(max(x_grid))
-    return primes, _select(spec, primes)
+    return max(x_grid)
 
 
 def _float_sum(table: bytearray, x: int) -> float:
@@ -81,12 +76,11 @@ def convergence_table(spec: PrimeSetSpec, x_grid: list[int]) -> list[Convergence
     (1 - 1/p) over members p <= x; their gap tends to zero as x grows."""
     if any(a >= b for a, b in zip(x_grid, x_grid[1:])):
         raise DomainError("x grid must be strictly ascending")
-    primes, flags = _checked_grid_flags(spec, x_grid)
-    table = _code_table(primes, flags, max(x_grid))
-    # One ascending pass of euler_product_partial over the member flags the
-    # table was built from: each grid point's product continues the previous
-    # one, multiplying in the same order.
-    members = compress(range(len(flags)), flags)
+    top = _checked_grid_max(x_grid)
+    table = member_table(spec, top)
+    # One ascending pass of euler_product_partial over the generating primes:
+    # each grid point's product continues the last, in the same order.
+    members = table_primes(table, top)
     p = next(members, None)
     product_value = 1.0
     rows = []
@@ -116,11 +110,8 @@ def mertens_window(x: int) -> MertensWindow:
     """
     if x < 4:
         raise DomainError(f"the window needs x >= 4, got {x}")
-    spec = IntervalPrimes(math.sqrt(x), float(x))
-    return MertensWindow(
-        sum=partial_sum(spec, x, mode="float").value_float,
-        product=euler_product_partial(spec, x),
-    )
+    row = convergence_table(IntervalPrimes(math.sqrt(x), float(x)), [x])[0]
+    return MertensWindow(sum=row.sum_value, product=row.product_value)
 
 
 def mean_mobius(spec: PrimeSetSpec, x: int) -> float:
@@ -155,9 +146,7 @@ def gran_residual(spec: PrimeSetSpec, x_grid: list[int]) -> list[GranResidualRow
     for x in x_grid:
         if x < 1:
             raise DomainError(f"gran residuals need x >= 1, got {x}")
-    primes, flags = _checked_grid_flags(spec, x_grid)
-    inside = _code_table(primes, flags, max(x_grid))
-    outside = _code_table(primes, _outside(primes, flags), max(x_grid))
+    outside, inside = code_tables(spec, _checked_grid_max(x_grid))
     rows = []
     for x in x_grid:
         lhs = x * _float_sum(inside, x)

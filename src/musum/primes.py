@@ -54,11 +54,8 @@ LOGFRAC_PRECISION_BITS = 96
 # closer still, and the distance to the nearest integer moves by at most as
 # much as y does.  So wherever the double distance is more than
 # 2**-30 * (1 + |y|) away from the width, the double decision is the
-# reference decision; inside that band the reference test decides.  From
-# |y| >= 2**29 on (an overflow to inf included) the band covers every
-# distance in [0, 1/2].
+# reference decision; inside that band the reference test decides.
 _LOGFRAC_BAND = 2.0**-30
-_LOGFRAC_MAX_Y = 2.0**29
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -210,6 +207,10 @@ class LogFracPrimes(PrimeSetSpec):
         object.__setattr__(self, "shift", float(self.shift))
         if self.t == 0.0 or not math.isfinite(self.t):
             raise DomainError("logfrac scale t must be a finite nonzero real")
+        # |t| <= 1e8 keeps |y| below 1e8 * ln(1e8) / (2*pi) + 1 < 2**29 for
+        # every prime up to MAX_SIEVE_LIMIT, where the filter band is < 1/2.
+        if abs(self.t) > 1e8:
+            raise DomainError(f"logfrac scale |t| must be at most 1e8, got {self.t!r}")
         if not 0.0 <= self.width <= 0.5:
             raise DomainError(f"logfrac width must lie in [0, 0.5], got {self.width}")
         if not 0.0 <= self.shift < 1.0:
@@ -311,13 +312,12 @@ def _logfrac_flags(spec: LogFracPrimes, primes: bytearray) -> tuple[bytearray, i
     fallbacks = 0
     for p in compress(range(len(primes)), primes):
         y = scale * log(p) - shift
-        if -_LOGFRAC_MAX_Y < y < _LOGFRAC_MAX_Y:
-            frac = y - floor(y)
-            gap = (frac if frac <= 0.5 else 1.0 - frac) - width
-            if abs(gap) > _LOGFRAC_BAND * (1.0 + abs(y)):
-                if gap < 0.0:
-                    flags[p] = 1
-                continue
+        frac = y - floor(y)
+        gap = (frac if frac <= 0.5 else 1.0 - frac) - width
+        if abs(gap) > _LOGFRAC_BAND * (1.0 + abs(y)):
+            if gap < 0.0:
+                flags[p] = 1
+            continue
         fallbacks += 1
         if _logfrac_member(spec, p):
             flags[p] = 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
@@ -32,10 +33,11 @@ from .primes import MAX_SIEVE_LIMIT, FinitePrimes, PrimeSetSpec, _prime_flags, _
 
 # Enumeration refuses x beyond the sieve's ceiling: every table walks the
 # prime flags up to x.  Peak bytes per n (tracemalloc at x = 1e6, plus a few
-# KB): 3 for member_table and all that reads one table (the table, the prime
-# flags, and the member flags or a slice copy of x/2 bytes and its
-# translation); 4 for zorn_check and convergence_table, which also keep the
-# member flags; 5 for gran_residual (both tables too).  300-500 MB at 1e8.
+# KB): 3 for member_table, convergence_table, mertens_window and all that
+# reads one table (the table, the prime flags, and the member flags or a
+# slice copy of x/2 bytes and its translation); 3 for count_members_outside
+# and zorn_check and 4 for gran_residual (both tables), each plus 4 bytes per
+# member prime, which code_tables keeps as a list.  300-430 MB at 1e8.
 MAX_ENUM_LIMIT = MAX_SIEVE_LIMIT
 
 # auto backend: the heap is memory-light for sparse semigroups, the sieve is
@@ -43,13 +45,16 @@ MAX_ENUM_LIMIT = MAX_SIEVE_LIMIT
 _AUTO_HEAP_MAX_PRIMES = 8
 _AUTO_HEAP_MIN_X = 10**6
 
-# Table codes: 0 = not in <P>, 1 = mu +1, 2 = mu -1, 3 = member with mu 0.
-# Translations act on codes 0..3 only; the other 252 entries are padding.
+# Table codes: 0 = not in <P>, 1 = mu +1, 2 = mu -1, 3 = member with mu 0,
+# 4 = a generating prime (mu -1).  The flip and the square act on multiples
+# of a prime other than itself, which are never prime, so they meet codes
+# 0..3 only; the other entries of each translation are padding.
 _FLIP = bytes((0, 2, 1, 3)) + bytes(252)  # one more prime factor
 _SQUARE = bytes((0, 3, 3, 3)) + bytes(252)  # a square factor
-_SQUAREFREE = bytes((0, 1, 1, 0)) + bytes(252)  # nonzero mu
-_START = bytes((1, 2)) + bytes(254)  # member flags to start codes
-_MU = (0, 1, -1, 0)
+_SQUAREFREE = bytes((0, 1, 1, 0, 1)) + bytes(251)  # nonzero mu
+_GENERATOR = bytes((0, 0, 0, 0, 1)) + bytes(251)  # a generating prime
+_START = bytes((1, 4)) + bytes(254)  # member flags to start codes
+_MU = (0, 1, -1, 0, -1)
 
 
 class SemigroupTerm(NamedTuple):
@@ -108,18 +113,18 @@ def _code_table(primes: bytearray, members: bytearray, x: int) -> bytearray:
     """Codes of 0..x for the semigroup generated by the primes flagged in
     ``members``, a subset of the prime flags ``primes``.
 
-    Every n starts as mu +1 and each member prime as mu -1 (its own sign
-    flip).  For each prime p <= x in turn: a member flips the sign of its
-    other multiples and sets its square's multiples to mu 0; a non-member
-    zeroes its multiples.  Zero is fixed by both translations and 3 by the
-    flip, so the order of the primes does not matter, and no prime's own
-    code changes before its turn.
+    Every n starts as mu +1 and each member prime as a generator (code 4).
+    For each prime p <= x in turn: a member flips the sign of its other
+    multiples and sets its square's multiples to mu 0; a non-member zeroes
+    its multiples.  Zero is fixed by both translations and 3 by the flip, so
+    the order of the primes does not matter, and no prime's own code changes
+    before its turn.
     """
     table = members.translate(_START)
     del members  # freed early: the table now records which primes are members
     table[0] = 0
     for p in compress(range(x + 1), primes):
-        if table[p] == 2:
+        if table[p] == 4:
             table[2 * p :: p] = table[2 * p :: p].translate(_FLIP)
             square = p * p
             if square <= x:
@@ -136,19 +141,22 @@ def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
     return _code_table(primes, _select(spec, primes), x)
 
 
-def complement_table(spec: PrimeSetSpec, x: int) -> bytearray:
-    """The code table of <P'> up to x, generated by the prime flags minus the
-    member flags rather than read off the table of <P>."""
+def code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:
+    """The code table of <P'> up to x, then that of <P>, from one membership
+    pass, each built when asked for.  <P'> is generated by the prime flags
+    minus the members rather than read off <P>, so the two count apart.  The
+    members wait as a list, not as flags, so <P'> takes no more memory than <P>."""
     check_enum_limit(x)
     primes = _prime_flags(x)
-    return _code_table(primes, _outside(primes, _select(spec, primes)), x)
+    members = array("I", compress(range(x + 1), _select(spec, primes)))
+    yield _code_table(primes, _flagged(bytearray(primes), members, 0), x)
+    yield _code_table(primes, _flagged(bytearray(x + 1), members, 1), x)
 
 
-def _outside(primes: bytearray, members: bytearray) -> bytearray:
-    """The prime flags minus the member flags."""
-    flags = bytearray(primes)
-    for p in compress(range(len(members)), members):
-        flags[p] = 0
+def _flagged(flags: bytearray, positions: array, value: int) -> bytearray:
+    """``flags`` with flags[p] = value for each p in ``positions``."""
+    for p in positions:
+        flags[p] = value
     return flags
 
 
@@ -159,9 +167,14 @@ def table_terms(table: bytearray, x: int, squarefree_only: bool) -> Iterator[tup
     return zip(compress(range(x + 1), mask), map(_MU.__getitem__, compress(table, mask)))
 
 
+def table_primes(table: bytearray, x: int) -> Iterator[int]:
+    """The generating primes p <= x of a code table, ascending."""
+    return compress(range(x + 1), table.translate(_GENERATOR))
+
+
 def table_tally(table: bytearray, x: int) -> tuple[int, int]:
     """(#members, sum of mu) over 1 <= n <= x of a code table."""
-    mobius_total = table.count(1, 0, x + 1) - table.count(2, 0, x + 1)
+    mobius_total = table.count(1, 0, x + 1) - table.count(2, 0, x + 1) - table.count(4, 0, x + 1)
     return x + 1 - table.count(0, 0, x + 1), mobius_total  # table[0] == 0
 
 
@@ -245,7 +258,7 @@ def count_members_outside(spec: PrimeSetSpec, x: int) -> int:
     """#{n <= x : every prime factor of n lies outside P} -- the size of the
     complementary semigroup <P'> up to x, counted on the complement table
     rather than by subtraction."""
-    return table_tally(complement_table(spec, x), x)[0]
+    return table_tally(next(code_tables(spec, x)), x)[0]
 
 
 def density(spec: PrimeSetSpec, x: int) -> float:

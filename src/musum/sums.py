@@ -43,9 +43,9 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, UsageError
 from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
-from .primes import _prime_flags, _select, primes_in
-from .semigroup import _code_table, _distinct_prime_factors, _heap_stream, _outside
-from .semigroup import check_enum_limit, mobius, squarefree_terms, table_tally, table_terms
+from .primes import primes_in
+from .semigroup import _distinct_prime_factors, _heap_stream, check_enum_limit, code_tables
+from .semigroup import mobius, squarefree_terms, table_tally, table_terms
 
 # Exact summation carries denominators that divide lcm(1..x); at x = 1e5
 # that is ~43000 decimal digits, so exact mode refuses larger x.  Finite
@@ -237,14 +237,12 @@ def zorn_check(spec: PrimeSetSpec, x: int) -> ZornIdentity:
     """
     if x < 1:
         raise DomainError(f"zorn identity requires x >= 1, got {x}")
-    check_enum_limit(x)
-    primes = _prime_flags(x)
-    members = _select(spec, primes)
-    lhs = table_tally(_code_table(primes, _outside(primes, members), x), x)[0]
+    tables = code_tables(spec, x)
+    lhs = table_tally(next(tables), x)[0]
     if isinstance(spec, FinitePrimes):
         terms = squarefree_terms(spec, x)
     else:
-        terms = table_terms(_code_table(primes, members, x), x, True)
+        terms = table_terms(next(tables), x, True)
     rhs = sum(mu * (x // n) for n, mu in terms)
     return ZornIdentity(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 

@@ -460,6 +460,10 @@ class TestBadInputExitCodes:
             (("sum", "--set", "all", "--x=--"), None, EXIT_USAGE),
             (("gs-const", "--out=--"), None, EXIT_USAGE),
             (("gs-const", "--format=--"), None, EXIT_USAGE),
+            # a log-fraction scale above 1e8 is refused
+            (("sum", "--set", "logfrac:t=1e40,w=0.1,s=0", "--x", "10"), None, EXIT_USAGE),
+            (("blowup", "--t", "1e9", "--shift", "0", "--eps", "0.5", "--prime-limit", "100"),
+             None, EXIT_DOMAIN),
         ],
     )
     def test_documented_code_without_traceback(self, capsys, tmp_path, argv, replay, code):

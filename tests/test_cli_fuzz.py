@@ -35,14 +35,14 @@ _SPECS = [
     "all", "finite:", "finite:2,3", "finite:2,2", "finite:1000003", "cofinite:", "cofinite:5",
     "interval:10..100", "interval:0..1e308", "interval:-1e308..0", "residue:1 mod 4",
     "residue:3 mod 100000001", "residue:0 mod 2", "logfrac:t=1.0,w=0.1,s=0.0",
-    "logfrac:t=1e308,w=0.25,s=0", "logfrac:t=5,w=0.5,s=0.999", "logfrac:t=1e-320,w=0.1,s=0",
+    "logfrac:t=1e8,w=0.25,s=0", "logfrac:t=5,w=0.5,s=0.999", "logfrac:t=1e-320,w=0.1,s=0",
     "logfrac:t=1,w=0,s=0",
 ]
 _BAD_SPECS = [
     "finite:4", "finite:2,", "cofinite:-3", "interval:5..", "interval:nan..3", "interval:1..inf",
     "residue:1 mod 1", "residue:1 mod -4", "residue:a mod 4", "logfrac:t=nan,w=0.1,s=0",
-    "logfrac:t=0,w=0.1,s=0", "logfrac:t=5,w=0.5,s=-1e308", "logfrac:t=1,w=0.6,s=0",
-    "logfrac:t=1,w=0.1", "primes", "all:",
+    "logfrac:t=0,w=0.1,s=0", "logfrac:t=1e308,w=0.25,s=0", "logfrac:t=5,w=0.5,s=-1e308",
+    "logfrac:t=1,w=0.6,s=0", "logfrac:t=1,w=0.1", "primes", "all:",
 ] + _JUNK
 _WEIGHTS = ["", "2=1/3,5=1", "2=0,3=0", "7=2/9", "2=1/3,2=1/2", "1000003=1/2", "2=1e-320"]
 _BAD_WEIGHTS = ["2=3/2", "4=1/2", "2=-1", "2=nan", "2=1e308", "2", "=1", "é=1"] + _JUNK

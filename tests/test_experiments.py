@@ -18,7 +18,7 @@ from musum.experiments import (
     semiprime_sum,
 )
 from musum.primes import AllPrimes, CofinitePrimes, FinitePrimes, IntervalPrimes
-from musum.sums import partial_sum
+from musum.sums import euler_product_partial, partial_sum
 
 from oracles import (
     big_omega,
@@ -98,6 +98,15 @@ class TestMertensWindow:
     def test_requires_x_at_least_four(self):
         with pytest.raises(DomainError):
             mertens_window(3)
+
+    @pytest.mark.parametrize("x", [4, 5000, 30000, 10**5])
+    def test_one_pass_matches_the_sum_and_product_routes(self, x):
+        # The window reads its sum and product off one table; the separate
+        # partial sum and truncated product give the same bits.
+        spec = IntervalPrimes(math.sqrt(x), float(x))
+        window = mertens_window(x)
+        assert window.sum == partial_sum(spec, x, mode="float").value_float
+        assert window.product == euler_product_partial(spec, x)
 
 
 class TestMeanMobius:

@@ -229,8 +229,8 @@ _EDGE_SPECS = [
     ResiduePrimes(2, 4),
     ResiduePrimes(3, 10007),
     LogFracPrimes(-2.5, 0.1, 0.3),
-    LogFracPrimes(1e300, 0.1, 0.0),
-    LogFracPrimes(-1.7e308, 0.3, 0.5),
+    LogFracPrimes(1e8, 0.1, 0.0),
+    LogFracPrimes(-1e8, 0.3, 0.5),
     LogFracPrimes(3.0, 0.0, 0.2),
     LogFracPrimes(3.0, 0.5, 0.7),
 ]

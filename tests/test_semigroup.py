@@ -1,13 +1,17 @@
+import ast
 import math
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from musum.errors import DomainError, UsageError
-from musum.experiments import convergence_table, gran_residual, mean_mobius
+from musum import primes as primes_module
+from musum.experiments import convergence_table, gran_residual, mean_mobius, mertens_window
 from musum.primes import (
     AllPrimes,
     CofinitePrimes,
@@ -16,6 +20,7 @@ from musum.primes import (
     LogFracPrimes,
     ResiduePrimes,
     is_member,
+    primes_in,
 )
 from musum.semigroup import (
     EnumerationOptions,
@@ -26,6 +31,7 @@ from musum.semigroup import (
     enumerate_terms,
     member_table,
     mobius,
+    table_primes,
 )
 from musum.sums import zorn_check
 
@@ -222,6 +228,7 @@ class TestCodeTableAgainstOracle:
             assert count_members_outside(spec, x) == len(_oracle(index, x, True)), x
             if x >= 1:
                 assert mean_mobius(spec, x) == sum(mu for _, mu in members) / x, x
+            assert list(table_primes(member_table(spec, x), x)) == primes_in(spec, x), x
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=_ORACLE_X))
@@ -234,23 +241,72 @@ class TestCodeTableAgainstOracle:
 
 
 # The peak bytes per n of x that the MAX_ENUM_LIMIT comment states for each
-# route, plus the few KB of Python objects any call holds.
+# route, plus 4 bytes per member prime where code_tables keeps the members
+# as a list, plus the few KB of Python objects any call holds.
 @pytest.mark.parametrize(
-    "route, per_n",
+    "route, per_n, per_member",
     [
-        (member_table, 3),
-        (zorn_check, 4),
-        (lambda spec, x: convergence_table(spec, [x]), 4),
-        (lambda spec, x: gran_residual(spec, [x]), 5),
+        (member_table, 3, 0),
+        (count_members_outside, 3, 4),
+        (zorn_check, 3, 4),
+        (lambda spec, x: convergence_table(spec, [x]), 3, 0),
+        (lambda spec, x: gran_residual(spec, [x]), 4, 4),
     ],
-    ids=["member_table", "zorn_check", "convergence_table", "gran_residual"],
+    ids=["member_table", "count_members_outside", "zorn_check", "convergence_table",
+         "gran_residual"],
 )
-def test_table_routes_stay_within_their_stated_memory(route, per_n):
+def test_table_routes_stay_within_their_stated_memory(route, per_n, per_member):
     x = 10**6
+    spec = ResiduePrimes(1, 4)
+    members = len(primes_in(spec, x))
     tracemalloc.start()
     try:
-        route(ResiduePrimes(1, 4), x)
+        route(spec, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < per_n * x + 64 * 1024
+    assert peak < per_n * x + per_member * members + 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: zorn_check(ResiduePrimes(1, 4), 1000),
+        lambda: gran_residual(ResiduePrimes(1, 4), [10, 1000]),
+        lambda: convergence_table(ResiduePrimes(1, 4), [10, 1000]),
+        lambda: mertens_window(1000),
+    ],
+    ids=["zorn_check", "gran_residual", "convergence_table", "mertens_window"],
+)
+def test_table_routes_select_members_once(route, monkeypatch):
+    calls = []
+
+    def counted(spec, flags):
+        calls.append(spec)
+        return select(spec, flags)
+
+    select = primes_module._select
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("musum") and (
+            getattr(module, "_select", None) is select
+        ):
+            monkeypatch.setattr(module, "_select", counted)
+    route()
+    assert len(calls) == 1
+
+
+# Selection, flags and table building stay behind semigroup: the sums and
+# the experiments read tables, they do not build them.
+_TABLE_INTERNALS = {"_prime_flags", "_select", "_code_table", "_flagged"}
+
+
+@pytest.mark.parametrize("name", ["sums.py", "experiments.py"])
+def test_table_internals_stay_behind_semigroup(name):
+    source = Path(primes_module.__file__).with_name(name)
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & _TABLE_INTERNALS
