@@ -57,18 +57,21 @@ LOGFRAC_PRECISION_BITS = 96
 # reference decision; inside that band the reference test decides.
 _LOGFRAC_BAND = 2.0**-30
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The prime bases 2..41 admit no strong pseudoprime below MR_PROVEN_BOUND
+# (OEIS A014233); 2..37 admit 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_PROVEN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test.
+    """Miller-Rabin primality test over the prime bases 2..41.
 
-    The witness set is sufficient for every n < 3.3 * 10**24, far beyond the
-    sieving ceiling of this package.
+    Proven for every n < MR_PROVEN_BOUND (about 3.3 * 10**24), far beyond the
+    sieving ceiling of this package; above it, a strong probable-prime test.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -23,13 +23,15 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
-from typing import Iterator, NamedTuple
+from itertools import compress, islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, ResourceError, UsageError
-from .primes import MAX_SIEVE_LIMIT, FinitePrimes, PrimeSetSpec, _prime_flags, _select
+from .primes import MAX_SIEVE_LIMIT, MR_PROVEN_BOUND, FinitePrimes, PrimeSetSpec, _prime_flags
+from .primes import _select, is_prime
 
 # Enumeration refuses x beyond the sieve's ceiling: every table walks the
 # prime flags up to x.  Peak bytes per n (tracemalloc at x = 1e6, plus a few
@@ -37,7 +39,10 @@ from .primes import MAX_SIEVE_LIMIT, FinitePrimes, PrimeSetSpec, _prime_flags, _
 # reads one table (the table, the prime flags, and the member flags or a
 # slice copy of x/2 bytes and its translation); 3 for count_members_outside
 # and zorn_check and 4 for gran_residual (both tables), each plus 4 bytes per
-# member prime, which code_tables keeps as a list.  300-430 MB at 1e8.
+# member prime, which code_tables keeps as one array.  300-430 MB at 1e8.
+# Exact partial_sum of an infinite set reads smooth_split: 3 per n plus 4 per
+# member prime (one array, cut in place to those above sqrt(x)), and its
+# merge's integers, under 1 byte per n at the exact ceiling of 1e5.
 MAX_ENUM_LIMIT = MAX_SIEVE_LIMIT
 
 # auto backend: the heap is memory-light for sparse semigroups, the sieve is
@@ -73,16 +78,21 @@ class EnumerationOptions:
 
 
 def _distinct_prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    """The distinct primes dividing n >= 1, ascending, by trial division up
+    to 1e6.  A cofactor that trial division leaves unproven is taken as prime
+    only if it is below MR_PROVEN_BOUND and passes is_prime; otherwise no
+    factor is found in bounded time and ResourceError is raised."""
     out = []
     m = n
     d = 2
-    while d * d <= m:
+    while d * d <= m and d <= 10**6:
         if m % d == 0:
             out.append(d)
             while m % d == 0:
                 m //= d
         d += 1 if d == 2 else 2
+    if d * d <= m and not (m < MR_PROVEN_BOUND and is_prime(m)):  # stopped at 1e6, not sqrt(m)
+        raise ResourceError(f"cannot factor {n}: its cofactor past 1e6 is not provably prime")
     if m > 1:
         out.append(m)
     return tuple(out)
@@ -90,7 +100,7 @@ def _distinct_prime_factors(n: int) -> tuple[int, ...]:
 
 def mobius(n: int) -> int:
     """Classical Mobius function: 0 if a square divides n, else (-1)**(number
-    of distinct prime factors); mobius(1) = 1."""
+    of distinct prime factors); mobius(1) = 1.  ResourceError if n cannot be factored."""
     if n < 1:
         raise DomainError(f"mobius is defined for n >= 1, got {n}")
     primes = _distinct_prime_factors(n)
@@ -141,30 +151,57 @@ def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
     return _code_table(primes, _select(spec, primes), x)
 
 
+def _member_primes(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
+    """The prime flags up to x and the members of P up to x as one array."""
+    check_enum_limit(x)
+    primes = _prime_flags(x)
+    return primes, array("I", compress(range(x + 1), _select(spec, primes)))
+
+
 def code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:
     """The code table of <P'> up to x, then that of <P>, from one membership
     pass, each built when asked for.  <P'> is generated by the prime flags
     minus the members rather than read off <P>, so the two count apart.  The
     members wait as a list, not as flags, so <P'> takes no more memory than <P>."""
-    check_enum_limit(x)
-    primes = _prime_flags(x)
-    members = array("I", compress(range(x + 1), _select(spec, primes)))
+    primes, members = _member_primes(spec, x)
     yield _code_table(primes, _flagged(bytearray(primes), members, 0), x)
     yield _code_table(primes, _flagged(bytearray(x + 1), members, 1), x)
 
 
-def _flagged(flags: bytearray, positions: array, value: int) -> bytearray:
+def smooth_split(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
+    """The code table up to x of the semigroup generated by the members up to
+    isqrt(x), and the members above it, ascending, from one membership pass.
+    The smooth flags are new: _select may have returned the prime flags."""
+    primes, members = _member_primes(spec, x)
+    k = bisect_right(members, math.isqrt(x))
+    table = _code_table(primes, _flagged(bytearray(x + 1), islice(members, k), 1), x)
+    del members[:k]
+    return table, members
+
+
+def _flagged(flags: bytearray, positions: Iterable[int], value: int) -> bytearray:
     """``flags`` with flags[p] = value for each p in ``positions``."""
     for p in positions:
         flags[p] = value
     return flags
 
 
+def _columns(table: bytearray, x: int, mask: bytearray) -> tuple[Iterator[int], Iterator[int]]:
+    """The n <= x flagged in ``mask`` and their mu(n), ascending, at C speed."""
+    return compress(range(x + 1), mask), map(_MU.__getitem__, compress(table, mask))
+
+
 def table_terms(table: bytearray, x: int, squarefree_only: bool) -> Iterator[tuple[int, int]]:
     """(n, mu(n)) for the members n <= x of a code table, ascending; with
     squarefree_only, the mu == 0 members are left out."""
-    mask = table.translate(_SQUAREFREE) if squarefree_only else table
-    return zip(compress(range(x + 1), mask), map(_MU.__getitem__, compress(table, mask)))
+    return zip(*_columns(table, x, table.translate(_SQUAREFREE) if squarefree_only else table))
+
+
+def table_squarefree(table: bytearray, x: int) -> tuple[int, Iterator[int], Iterator[int]]:
+    """The number of squarefree members n <= x of a code table, then the
+    columns of those n and of their mu(n), ascending."""
+    mask = table.translate(_SQUAREFREE)
+    return (mask.count(1, 0, x + 1), *_columns(table, x, mask))
 
 
 def table_primes(table: bytearray, x: int) -> Iterator[int]:

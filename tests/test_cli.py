@@ -381,6 +381,9 @@ def test_zeta_phases_do_not_import_mpmath():
     assert done.stdout.splitlines()[-1] == "False"
 
 
+_HARD_COMPOSITE = (10**9 + 7) * (10**9 + 9)
+
+
 class TestBadInputExitCodes:
     """Malformed input maps to its documented exit code, with no traceback."""
 
@@ -464,6 +467,15 @@ class TestBadInputExitCodes:
             (("sum", "--set", "logfrac:t=1e40,w=0.1,s=0", "--x", "10"), None, EXIT_USAGE),
             (("blowup", "--t", "1e9", "--shift", "0", "--eps", "0.5", "--prime-limit", "100"),
              None, EXIT_DOMAIN),
+            # (1e9 + 7)(1e9 + 9): no factor below the trial-division limit of
+            # 1e6, and too large to be prime for that reason alone
+            (("shifted", "--m", str(_HARD_COMPOSITE), "--x", "10"), None, EXIT_RESOURCE),
+            (("divisors", "--n", str(_HARD_COMPOSITE), "--x", "10"), None, EXIT_RESOURCE),
+            (("sweep", "--kind", "mock"),
+             b'[{"kind": "mock", "op": "divisors", "N": %d, "x": 10}]' % _HARD_COMPOSITE,
+             EXIT_RESOURCE),
+            # a strong pseudoprime to every base 2..37, with no factor below 1e6
+            (("shifted", "--m", "318665857834031151167461", "--x", "10"), None, EXIT_RESOURCE),
         ],
     )
     def test_documented_code_without_traceback(self, capsys, tmp_path, argv, replay, code):
@@ -474,8 +486,23 @@ class TestBadInputExitCodes:
         got, out, err = _run(capsys, *argv)
         assert got == code
         assert out == ""
-        assert err.startswith("domain error:" if code == EXIT_DOMAIN else "error:")
+        prefix = {EXIT_DOMAIN: "domain error:", EXIT_RESOURCE: "resource error:"}
+        assert err.startswith(prefix.get(code, "error:"))
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("shifted", "--m", str(2**61 - 1), "--x", "10"),
+            ("divisors", "--n", str(2**61 - 1), "--x", "10"),
+        ],
+    )
+    def test_large_prime_operand_runs(self, capsys, argv):
+        # 2**61 - 1 is prime: trial division leaves it whole, is_prime decides.
+        got, out, err = _run(capsys, *argv)
+        assert got == EXIT_OK
+        assert err == ""
+        assert str(2**61 - 1) in out
 
 
 class TestHelp:

@@ -30,7 +30,10 @@ _EDGE_REALS = ["nan", "-nan", "inf", "-inf", "1e-320", "-1e-320", "1e308", "-1e3
 _REALS = ["0", "-1", "0.5", "1", "1.5", "2", "3.7", "100", "0.1", "0.25"]
 _SMALL = [0, -1, -7, 1, 2, 3, 6, 12, 30, 97, 100, 210, 1000, 9973, 10**4]
 _ABOVE = [MAX_ENUM_LIMIT + 1, EXACT_CEILING + 1, 10**12]
-_EDGE_INTS = _ABOVE + [MAX_ENUM_LIMIT - 1, EXACT_CEILING - 1, 2**63, -(2**63)] + _EDGE_REALS
+# A large prime and a composite with no factor below the trial-division
+# limit meet every integer option.
+_EDGE_INTS = _ABOVE + [MAX_ENUM_LIMIT - 1, EXACT_CEILING - 1, 2**63, -(2**63), 2**61 - 1,
+                       (10**9 + 7) * (10**9 + 9)] + _EDGE_REALS
 _SPECS = [
     "all", "finite:", "finite:2,3", "finite:2,2", "finite:1000003", "cofinite:", "cofinite:5",
     "interval:10..100", "interval:0..1e308", "interval:-1e308..0", "residue:1 mod 4",

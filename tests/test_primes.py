@@ -196,6 +196,12 @@ def test_is_prime_agrees_with_trial_division():
         assert is_prime(n) == (n in small)
 
 
+def test_is_prime_rejects_strong_pseudoprime_to_bases_up_to_37():
+    # OEIS A014233: the least strong pseudoprime to every prime base 2..37.
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
+
+
 def test_logfrac_precision_beats_doubles():
     # The membership comparison runs at >= 64 fraction bits; a double-only
     # evaluation of the same quantity agrees to ~1e-15, so any representable

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from musum.errors import DomainError, UsageError
+from musum.errors import DomainError, ResourceError, UsageError
 from musum import primes as primes_module
 from musum.experiments import convergence_table, gran_residual, mean_mobius, mertens_window
 from musum.primes import (
@@ -33,7 +33,7 @@ from musum.semigroup import (
     mobius,
     table_primes,
 )
-from musum.sums import zorn_check
+from musum.sums import EXACT_CEILING, partial_sum, zorn_check
 
 from oracles import mobius_bruteforce, semigroup_members
 
@@ -51,6 +51,19 @@ class TestMobius:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             mobius(0)
+
+    def test_cofactor_past_trial_division(self):
+        # Trial division stops at 1e6: a cofactor up to 1e12 is then prime,
+        # a larger one only if it is below MR_PROVEN_BOUND and is_prime says so.
+        assert mobius(6 * (10**9 + 7)) == -1
+        assert mobius(999983**2) == 0
+        assert mobius(2**61 - 1) == -1
+        assert mobius(2 * (2**61 - 1)) == 1
+        # a composite; a strong pseudoprime to the bases 2..37; a prime past
+        # the bound, where is_prime proves nothing
+        for n in ((10**9 + 7) * (10**9 + 9), 318665857834031151167461, 2**89 - 1):
+            with pytest.raises(ResourceError, match="cannot factor"):
+                mobius(n)
 
     def test_against_bruteforce(self):
         # Past 3000: primes near 1e5 squared, cubed or times another's square.
@@ -241,22 +254,24 @@ class TestCodeTableAgainstOracle:
 
 
 # The peak bytes per n of x that the MAX_ENUM_LIMIT comment states for each
-# route, plus 4 bytes per member prime where code_tables keeps the members
-# as a list, plus the few KB of Python objects any call holds.
+# route, plus 4 bytes per member prime where code_tables or smooth_split
+# keeps the members as one array, plus the few KB of Python objects any call
+# holds.  The exact sum runs at its own ceiling, with a byte per n to spare
+# for its integers.
 @pytest.mark.parametrize(
-    "route, per_n, per_member",
+    "route, x, per_n, per_member",
     [
-        (member_table, 3, 0),
-        (count_members_outside, 3, 4),
-        (zorn_check, 3, 4),
-        (lambda spec, x: convergence_table(spec, [x]), 3, 0),
-        (lambda spec, x: gran_residual(spec, [x]), 4, 4),
+        (member_table, 10**6, 3, 0),
+        (count_members_outside, 10**6, 3, 4),
+        (zorn_check, 10**6, 3, 4),
+        (lambda spec, x: convergence_table(spec, [x]), 10**6, 3, 0),
+        (lambda spec, x: gran_residual(spec, [x]), 10**6, 4, 4),
+        (partial_sum, EXACT_CEILING, 4, 4),
     ],
     ids=["member_table", "count_members_outside", "zorn_check", "convergence_table",
-         "gran_residual"],
+         "gran_residual", "partial_sum"],
 )
-def test_table_routes_stay_within_their_stated_memory(route, per_n, per_member):
-    x = 10**6
+def test_table_routes_stay_within_their_stated_memory(route, x, per_n, per_member):
     spec = ResiduePrimes(1, 4)
     members = len(primes_in(spec, x))
     tracemalloc.start()
@@ -275,8 +290,9 @@ def test_table_routes_stay_within_their_stated_memory(route, per_n, per_member):
         lambda: gran_residual(ResiduePrimes(1, 4), [10, 1000]),
         lambda: convergence_table(ResiduePrimes(1, 4), [10, 1000]),
         lambda: mertens_window(1000),
+        lambda: partial_sum(ResiduePrimes(1, 4), EXACT_CEILING),
     ],
-    ids=["zorn_check", "gran_residual", "convergence_table", "mertens_window"],
+    ids=["zorn_check", "gran_residual", "convergence_table", "mertens_window", "partial_sum"],
 )
 def test_table_routes_select_members_once(route, monkeypatch):
     calls = []
@@ -297,7 +313,7 @@ def test_table_routes_select_members_once(route, monkeypatch):
 
 # Selection, flags and table building stay behind semigroup: the sums and
 # the experiments read tables, they do not build them.
-_TABLE_INTERNALS = {"_prime_flags", "_select", "_code_table", "_flagged"}
+_TABLE_INTERNALS = {"_prime_flags", "_select", "_code_table", "_flagged", "_member_primes"}
 
 
 @pytest.mark.parametrize("name", ["sums.py", "experiments.py"])

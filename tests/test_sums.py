@@ -26,6 +26,7 @@ from musum.primes import (
     ResiduePrimes,
     is_member,
     parse_spec,
+    render_spec,
 )
 from musum.semigroup import count_members_outside, enumerate_terms, squarefree_terms
 from musum.sums import (
@@ -519,6 +520,48 @@ def test_merge_tree_weighted(default, assignments):
 def test_merge_tree_semiprime(x):
     want = [(1, n) for n in range(1, x + 1) if mobius_bruteforce(n) == 1]
     _check_exact(semiprime_sum(x), want)
+
+
+# Exact partial_sum of an infinite set takes the largest-prime split; the
+# term-wise merge over every squarefree member survives here as its
+# reference, and the two reports must agree field by field.  The extra sets
+# have no member up to sqrt(x) for the x below, or miss one small prime.
+_SPLIT_SPECS = [spec for spec, _ in SPEC_FORMS] + [
+    CofinitePrimes((2,)),
+    IntervalPrimes(150.0, 1e9),
+    ResiduePrimes(3, 1000),
+]
+
+
+def _check_split(spec, x):
+    terms = ((mu, n) for n, mu in squarefree_terms(spec, x))
+    assert partial_sum(spec, x) == _report(render_spec(spec), x, "exact", terms), (spec, x)
+
+
+@pytest.mark.parametrize("spec", _SPLIT_SPECS, ids=render_spec)
+def test_split_sum_matches_termwise_up_to_400(spec):
+    for x in range(401):
+        _check_split(spec, x)
+
+
+@pytest.mark.parametrize("spec", _SPLIT_SPECS, ids=render_spec)
+def test_split_sum_matches_termwise_around_squares(spec):
+    # At k**2 the isqrt steps up: k becomes smooth, and x // p reaches k.
+    for k in (1, 2, 3, 4, 5, 7, 10, 12, 31, 60, 100):
+        for x in (k * k - 1, k * k, k * k + k):
+            _check_split(spec, x)
+
+
+def test_split_sum_matches_termwise_at_the_largest_square():
+    k = math.isqrt(EXACT_CEILING)
+    for x in (k * k - 1, k * k, EXACT_CEILING):
+        _check_split(AllPrimes(), x)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_SPLIT_SPECS), st.integers(min_value=0, max_value=EXACT_CEILING))
+def test_split_sum_matches_termwise_at_random_bounds(spec, x):
+    _check_split(spec, x)
 
 
 def _sweep_route(instance, mode):
