@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .errors import DomainError
 from .primes import AllPrimes, IntervalPrimes, PrimeSetSpec, render_spec
-from .semigroup import _heap_stream, code_tables, member_table, squarefree_terms, table_primes
-from .semigroup import table_tally, table_terms, tally
+from .semigroup import _heap_stream, code_tables, member_table, squarefree_terms, table_fsums
+from .semigroup import table_primes, table_tallies, tally
 from .sums import SumReport, _report, _validate_mode_and_x
 
 # Euler-Mascheroni constant, 20 decimal digits (OEIS A001620).
@@ -65,12 +65,6 @@ def _checked_grid_max(x_grid: list[int]) -> int:
     return max(x_grid)
 
 
-def _float_sum(table: bytearray, x: int) -> float:
-    """partial_sum(spec, x, "float").value_float read off a code table of <P>
-    built up to x or beyond: fsum of the same quotients mu/n, in any order."""
-    return math.fsum(mu / n for n, mu in table_terms(table, x, True))
-
-
 def convergence_table(spec: PrimeSetSpec, x_grid: list[int]) -> list[ConvergenceRow]:
     """Pair the partial sum at each grid point with the truncated product of
     (1 - 1/p) over members p <= x; their gap tends to zero as x grows."""
@@ -84,11 +78,10 @@ def convergence_table(spec: PrimeSetSpec, x_grid: list[int]) -> list[Convergence
     p = next(members, None)
     product_value = 1.0
     rows = []
-    for x in x_grid:
+    for x, (sum_value, _) in zip(x_grid, table_fsums(table, x_grid)):
         while p is not None and p <= x:
             product_value *= 1.0 - 1.0 / p
             p = next(members, None)
-        sum_value = _float_sum(table, x)
         rows.append(ConvergenceRow(x, sum_value, product_value, sum_value - product_value))
     return rows
 
@@ -146,15 +139,20 @@ def gran_residual(spec: PrimeSetSpec, x_grid: list[int]) -> list[GranResidualRow
     for x in x_grid:
         if x < 1:
             raise DomainError(f"gran residuals need x >= 1, got {x}")
-    outside, inside = code_tables(spec, _checked_grid_max(x_grid))
-    rows = []
-    for x in x_grid:
-        lhs = x * _float_sum(inside, x)
-        count_term = table_tally(outside, x)[0]
-        mertens_term = (1.0 - EULER_MASCHERONI) * table_tally(inside, x)[1]
-        residual = lhs - count_term - mertens_term
-        rows.append(GranResidualRow(x, lhs, count_term, mertens_term, residual))
-    return rows
+    # Each segment between the sorted distinct points is read once; the rows
+    # keep the grid's own order and repeats.
+    points = sorted(set(x_grid))
+    tables = code_tables(spec, _checked_grid_max(x_grid))
+    count_terms = [members for members, _ in table_tallies(next(tables), points)]
+    inside = next(tables)  # built once the table of <P'> is gone
+    rows = {}
+    for x, count_term, (value, _), (_, mobius_total) in zip(
+        points, count_terms, table_fsums(inside, points), table_tallies(inside, points)
+    ):
+        lhs = x * value
+        mertens_term = (1.0 - EULER_MASCHERONI) * mobius_total
+        rows[x] = GranResidualRow(x, lhs, count_term, mertens_term, lhs - count_term - mertens_term)
+    return [rows[x] for x in x_grid]
 
 
 def semiprime_sum(x: int, mode: str = "exact") -> SumReport:

@@ -31,6 +31,7 @@ so both routes make the same decision for every prime.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -220,14 +221,24 @@ class LogFracPrimes(PrimeSetSpec):
             raise DomainError(f"logfrac shift must lie in [0, 1), got {self.shift}")
 
 
+@functools.cache
+def _mp_context(prec: int):
+    """A private mpmath context at ``prec`` bits, built on first use.  The
+    reference routes run in it, so they never set the precision of the
+    process-wide ``mpmath.mp``, and importing this module loads no mpmath."""
+    from mpmath import MPContext
+
+    ctx = MPContext()
+    ctx.prec = prec
+    return ctx
+
+
 def _logfrac_distance(spec: LogFracPrimes, p: int):
     """Distance from t*ln(p)/(2*pi) - shift to the nearest integer (mpmath)."""
-    from mpmath import mp
-
-    with mp.workprec(LOGFRAC_PRECISION_BITS):
-        y = mp.mpf(spec.t) * mp.log(p) / (2 * mp.pi) - mp.mpf(spec.shift)
-        frac = y - mp.floor(y)
-        return min(frac, 1 - frac)
+    mp = _mp_context(LOGFRAC_PRECISION_BITS)
+    y = mp.mpf(spec.t) * mp.log(p) / (2 * mp.pi) - mp.mpf(spec.shift)
+    frac = y - mp.floor(y)
+    return min(frac, 1 - frac)
 
 
 def _logfrac_member(spec: LogFracPrimes, p: int) -> bool:

@@ -9,7 +9,13 @@ independent backends produce the stream (n, mu(n)) in strictly increasing n:
   ``_code_table``) by slice assignment over the multiples of each prime.
   Every count and sum over <P> is read off the table at C speed with
   ``bytes.count``, ``bytes.translate`` and ``itertools.compress``, and a
-  table built up to x answers every bound below x through its prefix;
+  table built up to x answers every bound below x through its prefix.
+  ``table_fsums`` gives the correctly rounded float sums of mu(n)/n at each
+  point of an ascending grid: ``math.fsum`` over ``map(truediv, ...)`` of
+  the n and the mu(n) that one translated mask selects, so no Python frame
+  runs per term.  Between grid points the exact prefix rides along as two
+  doubles, so each segment of the table is read twice, not once per later
+  point;
 * ``heap``  (finite P only) generalises the classic merge generation of
   Hamming numbers: each member is extended by generators whose index is at
   least the largest one already used, so every member appears exactly once.
@@ -26,8 +32,9 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, islice
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, compress, islice
+from operator import truediv
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceError, UsageError
 from .primes import MAX_SIEVE_LIMIT, MR_PROVEN_BOUND, FinitePrimes, PrimeSetSpec, _prime_flags
@@ -35,14 +42,22 @@ from .primes import _select, is_prime
 
 # Enumeration refuses x beyond the sieve's ceiling: every table walks the
 # prime flags up to x.  Peak bytes per n (tracemalloc at x = 1e6, plus a few
-# KB): 3 for member_table, convergence_table, mertens_window and all that
-# reads one table (the table, the prime flags, and the member flags or a
-# slice copy of x/2 bytes and its translation); 3 for count_members_outside
-# and zorn_check and 4 for gran_residual (both tables), each plus 4 bytes per
-# member prime, which code_tables keeps as one array.  300-430 MB at 1e8.
+# KB): 3 for member_table, float partial_sum, convergence_table,
+# mertens_window and all that reads one table (the table, the prime flags,
+# and the member flags or a slice copy of x/2 bytes and its translation); 3
+# for count_members_outside, zorn_check and gran_residual, which are done
+# with the table of <P'> before the table of <P> is built, each plus 4 bytes
+# per member prime, which code_tables keeps as one array.  300-330 MB at 1e8.
 # Exact partial_sum of an infinite set reads smooth_split: 3 per n plus 4 per
 # member prime (one array, cut in place to those above sqrt(x)), and its
-# merge's integers, under 1 byte per n at the exact ceiling of 1e5.
+# merge's integers, under 1 byte per n at the exact ceiling of 1e5.  The
+# float reader table_fsums holds the table, one mask of the segment it reads
+# and, unless that is the whole table, a copy of the segment: within the 3
+# per n of the build.  The ceiling also makes table_fsums exact: each term
+# +-1/n with n <= 10**8 < 2**27 rounds to a multiple of 2**-79, so every
+# prefix S of rounded terms is one too, and |S| < H(10**8) < 20 puts
+# S - fsum(S) within ulp/2 <= 2**-48 of 0: at most 31 bits, which a double
+# holds exactly.
 MAX_ENUM_LIMIT = MAX_SIEVE_LIMIT
 
 # auto backend: the heap is memory-light for sparse semigroups, the sieve is
@@ -58,6 +73,7 @@ _FLIP = bytes((0, 2, 1, 3)) + bytes(252)  # one more prime factor
 _SQUARE = bytes((0, 3, 3, 3)) + bytes(252)  # a square factor
 _SQUAREFREE = bytes((0, 1, 1, 0, 1)) + bytes(251)  # nonzero mu
 _GENERATOR = bytes((0, 0, 0, 0, 1)) + bytes(251)  # a generating prime
+_SIGNED_MU = bytes((0, 1, 255, 0, 255)) + bytes(251)  # mu as a signed byte
 _START = bytes((1, 4)) + bytes(254)  # member flags to start codes
 _MU = (0, 1, -1, 0, -1)
 
@@ -209,10 +225,74 @@ def table_primes(table: bytearray, x: int) -> Iterator[int]:
     return compress(range(x + 1), table.translate(_GENERATOR))
 
 
+def _mobius_total(table: bytearray, start: int, stop: int) -> int:
+    """The sum of mu(n) over the members start <= n < stop of a code table."""
+    return table.count(1, start, stop) - table.count(2, start, stop) - table.count(4, start, stop)
+
+
 def table_tally(table: bytearray, x: int) -> tuple[int, int]:
     """(#members, sum of mu) over 1 <= n <= x of a code table."""
-    mobius_total = table.count(1, 0, x + 1) - table.count(2, 0, x + 1) - table.count(4, 0, x + 1)
-    return x + 1 - table.count(0, 0, x + 1), mobius_total  # table[0] == 0
+    return next(table_tallies(table, (x,)))
+
+
+def table_tallies(table: bytearray, grid: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """table_tally at each x of an ascending grid, each segment between grid
+    points counted once."""
+    members = mobius_total = start = 0
+    for x in grid:
+        members += x + 1 - start - table.count(0, start, x + 1)  # table[0] == 0
+        mobius_total += _mobius_total(table, start, x + 1)
+        yield members, mobius_total
+        start = x + 1
+
+
+def _quotients(table: bytearray, start: int, stop: int, extra: tuple) -> Iterator[float]:
+    """mu(n) / n for the squarefree members start <= n < stop, then ``extra``:
+    one mask holds mu(n) as a signed byte and selects the n it is nonzero at."""
+    segment = table if start == 0 and stop == len(table) else table[start:stop]
+    mus = segment.translate(_SIGNED_MU)
+    signs = compress(memoryview(mus).cast("b"), mus)
+    return chain(map(truediv, signs, compress(range(start, stop), mus)), extra)
+
+
+def table_fsums(table: bytearray, grid: Sequence[int]) -> Iterator[tuple[float, int]]:
+    """For each x of an ascending grid, the sum of mu(n)/n over the
+    squarefree members n <= x of a code table, correctly rounded, and their
+    number.
+
+    ``math.fsum`` is correctly rounded whatever the order of its terms
+    (Shewchuk 1997), so each value has the bits of any fsum of the same
+    terms.  Each segment between grid points is read twice: with the exact
+    prefix held as hi + lo, the next value is fsum(segment, hi, lo) and the
+    next lo is fsum(segment, hi, lo, -value), exact below MAX_ENUM_LIMIT
+    (see there).  The second read is skipped after the last point.
+    """
+    hi = lo = 0.0
+    count = start = 0
+    for i, x in enumerate(grid, 1):
+        stop = x + 1
+        value = math.fsum(_quotients(table, start, stop, (hi, lo)))
+        count += stop - start - table.count(0, start, stop) - table.count(3, start, stop)
+        yield value, count
+        if i < len(grid):
+            lo = math.fsum(_quotients(table, start, stop, (hi, lo, -value)))
+        hi, start = value, stop
+
+
+def table_floor_sum(table: bytearray, x: int) -> int:
+    """The sum of mu(d) * (x // d) over the members d <= x of a code table.
+
+    Term-wise for d <= isqrt(x).  Above it, x // d takes each value
+    q <= x // (isqrt(x) + 1) on the block x // (q + 1) < d <= x // q, which
+    adds q times its sum of mu: three ``bytes.count`` calls for each of
+    about sqrt(x) blocks (the floor-block grouping of Deleglise & Rivat
+    1996).
+    """
+    s = math.isqrt(x)
+    total = sum(mu * (x // n) for n, mu in table_terms(table[: s + 1], s, True))
+    for q in range(1, x // (s + 1) + 1):
+        total += q * _mobius_total(table, max(s, x // (q + 1)) + 1, x // q + 1)
+    return total
 
 
 def _heap_stream(primes: tuple[int, ...], x: int, squarefree_only: bool) -> Iterator[SemigroupTerm]:

@@ -37,9 +37,11 @@ s, the sum of mu(n) * (D // n) read off the s-smooth table at C speed; each
 prime above s adds one term, with S_P(x // p) read off the same table.
 Float mode uses ``math.fsum`` over every term, which is correctly rounded
 whatever their order, so its error is far below the documented certificate
-``4 * x * ulp(1)``.  Every report carries the bound verdict; a false verdict
-means a theorem has been falsified and is escalated by the CLI, never
-silently dropped.
+``4 * x * ulp(1)``.  For an infinite set the terms are read off the code
+table at C speed (``semigroup.table_fsums``); finite sets and the restricted
+variants feed fsum term by term.  Every report carries the bound verdict; a
+false verdict means a theorem has been falsified and is escalated by the
+CLI, never silently dropped.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from .errors import DomainError, UsageError
 from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
 from .primes import primes_in
 from .semigroup import _distinct_prime_factors, _heap_stream, check_enum_limit, code_tables
-from .semigroup import mobius, smooth_split, squarefree_terms, table_primes, table_squarefree
-from .semigroup import table_tally, table_terms
+from .semigroup import member_table, mobius, smooth_split, squarefree_terms, table_floor_sum
+from .semigroup import table_fsums, table_primes, table_squarefree, table_tally, table_terms
 
 # Exact summation carries denominators that divide lcm(1..x); at x = 1e5
 # that is ~43000 decimal digits, so exact mode refuses larger x.  Finite
@@ -164,6 +166,11 @@ def _exact_report(params: str, x: int, num: int, den: int, count: int) -> SumRep
     return SumReport(params, x, "exact", total, float(total), 0.0, count, abs(total) <= 1)
 
 
+def _float_report(params: str, x: int, value: float, count: int) -> SumReport:
+    bound = FLOAT_ERROR_PER_TERM * x
+    return SumReport(params, x, "float", None, value, bound, count, abs(value) <= 1.0 + bound)
+
+
 def _report(params: str, x: int, mode: str, terms: Iterable[Term]) -> SumReport:
     if mode == "exact":
         return _exact_report(params, x, *_merge_sum((a, b) for a, b in terms if a))
@@ -177,8 +184,7 @@ def _report(params: str, x: int, mode: str, terms: Iterable[Term]) -> SumReport:
                 yield num / den
 
     value = math.fsum(quotients())
-    bound = FLOAT_ERROR_PER_TERM * x
-    return SumReport(params, x, mode, None, value, bound, count, abs(value) <= 1.0 + bound)
+    return _float_report(params, x, value, count)
 
 
 def partial_sum(spec: PrimeSetSpec, x: int, mode: str = "exact") -> SumReport:
@@ -190,10 +196,11 @@ def partial_sum(spec: PrimeSetSpec, x: int, mode: str = "exact") -> SumReport:
     generating set.
     """
     _validate_mode_and_x(mode, x)
-    if mode == "exact" and not isinstance(spec, FinitePrimes):
+    if isinstance(spec, FinitePrimes):
+        return _report(render_spec(spec), x, mode, ((mu, n) for n, mu in squarefree_terms(spec, x)))
+    if mode == "exact":
         return _exact_report(render_spec(spec), x, *_split_sum(*smooth_split(spec, x), x))
-    terms = ((mu, n) for n, mu in squarefree_terms(spec, x))
-    return _report(render_spec(spec), x, mode, terms)
+    return _float_report(render_spec(spec), x, *next(table_fsums(member_table(spec, x), (x,))))
 
 
 def _split_sum(table: bytearray, large: Sequence[int], x: int) -> tuple[int, int, int]:
@@ -272,18 +279,17 @@ def zorn_check(spec: PrimeSetSpec, x: int) -> ZornIdentity:
 
     Both sides come from one membership pass but are counted independently:
     the left on the code table of <P'>, built from the prime flags minus the
-    member flags, the right from the <P> stream (the heap for finite P, as
-    in squarefree_terms).
+    member flags, the right on the table of <P> in floor blocks
+    (``table_floor_sum``), or term-wise from the heap for finite P.
     """
     if x < 1:
         raise DomainError(f"zorn identity requires x >= 1, got {x}")
     tables = code_tables(spec, x)
     lhs = table_tally(next(tables), x)[0]
     if isinstance(spec, FinitePrimes):
-        terms = squarefree_terms(spec, x)
+        rhs = sum(mu * (x // n) for n, mu in squarefree_terms(spec, x))
     else:
-        terms = table_terms(next(tables), x, True)
-    rhs = sum(mu * (x // n) for n, mu in terms)
+        rhs = table_floor_sum(next(tables), x)
     return ZornIdentity(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

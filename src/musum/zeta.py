@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .primes import FinitePrimes, LogFracPrimes, PrimeSetSpec, primes_in
+from .primes import FinitePrimes, LogFracPrimes, PrimeSetSpec, _mp_context, primes_in
 
 # Working precision (binary digits) of the reference phase reduction.  At
 # 96 bits, ln p, its product with t, 2*pi and the reduced value each carry a
@@ -176,12 +176,10 @@ def _fixed_log(p: int, ln2: int, log_top: tuple[int, ...]) -> int:
 def _reference_phases(members: list[int], t: float) -> list[float]:
     """t * ln(p) mod 2*pi for each member, reduced in mpmath at
     _PHASE_PRECISION_BITS; these bits define the phases."""
-    from mpmath import mp
-
-    with mp.workprec(_PHASE_PRECISION_BITS):
-        two_pi = 2 * mp.pi
-        tt = mp.mpf(t)
-        return [float((tt * mp.log(p)) % two_pi) for p in members]
+    mp = _mp_context(_PHASE_PRECISION_BITS)
+    two_pi = 2 * mp.pi
+    tt = mp.mpf(t)
+    return [float((tt * mp.log(p)) % two_pi) for p in members]
 
 
 def _reduced_phases(members: list[int], t: float) -> tuple[list[float], int]:

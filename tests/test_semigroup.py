@@ -267,9 +267,10 @@ class TestCodeTableAgainstOracle:
         (lambda spec, x: convergence_table(spec, [x]), 10**6, 3, 0),
         (lambda spec, x: gran_residual(spec, [x]), 10**6, 4, 4),
         (partial_sum, EXACT_CEILING, 4, 4),
+        (lambda spec, x: partial_sum(spec, x, "float"), 10**6, 3, 0),
     ],
     ids=["member_table", "count_members_outside", "zorn_check", "convergence_table",
-         "gran_residual", "partial_sum"],
+         "gran_residual", "partial_sum", "partial_sum_float"],
 )
 def test_table_routes_stay_within_their_stated_memory(route, x, per_n, per_member):
     spec = ResiduePrimes(1, 4)

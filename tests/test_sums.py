@@ -28,7 +28,8 @@ from musum.primes import (
     parse_spec,
     render_spec,
 )
-from musum.semigroup import count_members_outside, enumerate_terms, squarefree_terms
+from musum.semigroup import count_members_outside, enumerate_terms, member_table, squarefree_terms
+from musum.semigroup import table_floor_sum, table_fsums
 from musum.sums import (
     EXACT_CEILING,
     SumReport,
@@ -562,6 +563,58 @@ def test_split_sum_matches_termwise_at_the_largest_square():
 @given(st.sampled_from(_SPLIT_SPECS), st.integers(min_value=0, max_value=EXACT_CEILING))
 def test_split_sum_matches_termwise_at_random_bounds(spec, x):
     _check_split(spec, x)
+
+
+# Float partial_sum of an infinite set, the convergence and gran grids and
+# the Zorn right side read the code table at C speed (fsum over masked
+# columns, a two-double prefix between grid points, floor blocks); the
+# term-wise routes they replaced survive here as references.
+
+
+def _termwise_float(spec, x, terms=None):
+    """The float report of the term-wise route, from ``terms`` if given."""
+    if terms is None:
+        terms = squarefree_terms(spec, x)
+    return _report(render_spec(spec), x, "float", ((mu, n) for n, mu in terms if n <= x))
+
+
+@pytest.mark.parametrize("spec", _SPLIT_SPECS, ids=render_spec)
+def test_table_readers_match_termwise_up_to_2000(spec):
+    # One table and one term list serve every bound.
+    table = member_table(spec, 2000)
+    terms = list(squarefree_terms(spec, 2000))
+    for x in range(2001):
+        want = _termwise_float(spec, x, terms)
+        value, count = next(table_fsums(table, (x,)))
+        assert (value.hex(), count) == (want.value_float.hex(), want.term_count), x
+        assert table_floor_sum(table, x) == sum(mu * (x // n) for n, mu in terms if n <= x), x
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_SPLIT_SPECS), st.integers(min_value=0, max_value=10**5))
+def test_table_readers_match_termwise_at_random_bounds(spec, x):
+    report, want = partial_sum(spec, x, "float"), _termwise_float(spec, x)
+    assert report.value_float.hex() == want.value_float.hex()
+    assert report == want
+    if x >= 1:
+        assert zorn_check(spec, x).rhs == sum(mu * (x // n) for n, mu in squarefree_terms(spec, x))
+
+
+@pytest.mark.parametrize("spec", _SPLIT_SPECS, ids=render_spec)
+def test_grids_match_one_fsum_per_point(spec):
+    rng = random.Random(render_spec(spec))
+    terms = list(squarefree_terms(spec, 5000))
+    for size in (1, 2, 3, 12):
+        grid = sorted(rng.sample(range(1, 5001), size))
+        for row in convergence_table(spec, grid):
+            assert row.sum_value.hex() == _termwise_float(spec, row.x, terms).value_float.hex()
+        # gran keeps the order and the repeats of its grid
+        shuffled = grid + rng.choices(grid, k=size)
+        rng.shuffle(shuffled)
+        rows = gran_residual(spec, shuffled)
+        assert rows == [gran_residual(spec, [x])[0] for x in shuffled]
+        for row in rows:
+            assert row.lhs == row.x * _termwise_float(spec, row.x, terms).value_float
 
 
 def _sweep_route(instance, mode):

@@ -5,7 +5,8 @@ import mpmath
 import pytest
 
 from musum.errors import DomainError
-from musum.primes import AllPrimes, CofinitePrimes, FinitePrimes, LogFracPrimes, primes_in
+from musum.primes import AllPrimes, CofinitePrimes, FinitePrimes, LogFracPrimes, is_member
+from musum.primes import _mp_context, primes_in
 from musum.zeta import (
     ScanRow,
     blowup_scan,
@@ -214,6 +215,24 @@ class TestPhaseReduction:
         phases, _ = _reduced_phases(members, 1.0)
         want = _reference_phases(members, 1.0)
         assert [x.hex() for x in phases] == [x.hex() for x in want]
+
+    def test_reference_routes_leave_the_global_precision_alone(self, monkeypatch):
+        # Any assignment to mpmath.mp.prec (mp.workprec makes one) raises;
+        # a private context sets its own as usual, here built afresh.
+        prec = type(mpmath.mp).prec
+
+        def set_prec(ctx, value):
+            if ctx is mpmath.mp:
+                raise AssertionError(f"a library call set mpmath.mp.prec to {value}")
+            prec.fset(ctx, value)
+
+        monkeypatch.setattr(type(mpmath.mp), "prec", property(prec.fget, set_prec))
+        _mp_context.cache_clear()
+        spec = LogFracPrimes(5.0, 0.2, 0.3)
+        small = primes_in(AllPrimes(), 500)
+        assert [p for p in small if is_member(spec, p)] == primes_in(spec, 500)
+        assert _reduced_phases(small, 1e-310)[1] == len(small)
+        assert _reference_phases([2], 1.0)[0] == math.log(2)
 
     def test_zero_scale_needs_no_reference(self):
         assert _reduced_phases([2, 3, 5], 0.0) == ([0.0, 0.0, 0.0], 0)
