@@ -31,9 +31,11 @@ import functools
 import json
 import math
 import sys
+from collections import deque
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import experiments, sweeps
 from .errors import DomainError, ResourceError, SpecParseError, UsageError, VerificationError
@@ -93,11 +95,13 @@ class Report:
     writes ``records`` under the header ``columns``, JSON writes
     ``payload``.  Left out, the records are the pairs as one record, the
     columns are its keys and the payload is the pairs as one object.
+    ``pairs``, ``records`` and a payload value may be iterators, written as
+    they are drawn; iterated pairs come with their keys already padded.
     ``failure``, if set, is raised once the report is written."""
 
-    pairs: list[tuple[str, Any]]
+    pairs: Iterable[tuple[str, Any]]
     payload: dict | None = None
-    records: list[dict] | None = None
+    records: Iterable[dict] | None = None
     columns: list[str] | None = None
     failure: VerificationError | None = None
 
@@ -109,33 +113,56 @@ class Report:
         if self.payload is None:
             self.payload = dict(self.pairs)
 
-    def render(self, fmt: str) -> str:
+    def render(self, fmt: str) -> Iterator[str]:
+        """The text in pieces, drawn as they are written."""
         if fmt == "json":
-            return _json_value(self.payload) + "\n"
+            return chain(_json_pieces(self.payload), ("\n",))
         if fmt == "csv":
-            lines = [",".join(self.columns)]
-            lines += [",".join(_csv_cell(r[c]) for c in self.columns) for r in self.records]
+            rows = (",".join(_csv_cell(r[c]) for c in self.columns) for r in self.records)
+            lines = chain([",".join(self.columns)], rows)
         else:
-            width = max((len(k) for k, _ in self.pairs), default=0)
-            lines = [f"{k.ljust(width)}  {_scalar(v)}" for k, v in self.pairs]
-        return "\n".join(lines) + "\n"
+            pairs = self.pairs
+            width = 0 if isinstance(pairs, Iterator) else max((len(k) for k, _ in pairs), default=0)
+            lines = (f"{k.ljust(width)}  {_scalar(v)}" for k, v in pairs)
+        return chain(_joined("\n", lines), ("\n",))
 
 
-def _write(path: str, text: str) -> None:
+def _joined(sep: str, pieces: Iterable[str]) -> Iterator[str]:
+    """``sep.join(pieces)`` in pieces."""
+    it = iter(pieces)
+    return chain(islice(it, 1), map(sep.__add__, it))
+
+
+def _json_pieces(payload: dict) -> Iterator[str]:
+    """``_json_value(payload)`` in pieces; a value that is an iterator is
+    written as an array, one element at a time."""
+    yield "{"
+    for i, (key, value) in enumerate(payload.items()):
+        yield f"{',' if i else ''}{json.dumps(key)}:"
+        if isinstance(value, Iterator):
+            yield from chain(("[",), _joined(",", map(_json_value, value)), ("]",))
+        else:
+            yield _json_value(value)
+    yield "}"
+
+
+def _write(path: str, chunks: Iterable[str]) -> None:
     """Write an output file; an OSError becomes a ResourceError."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise ResourceError(f"cannot write to {path}: {exc}") from exc
 
 
 def emit(report: Report, fmt: str, out: str) -> None:
-    text = report.render(fmt)
+    pieces = report.render(fmt)
+    # One write per 1024 pieces, so only the chunk being written is held.
+    chunks = map("".join, iter(lambda: list(islice(pieces, 1024)), []))
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        _write(out, text)
+        _write(out, chunks)
 
 
 def _fields_report(result: Any) -> Report:
@@ -356,11 +383,20 @@ def _cmd_density(args) -> Report:
 
 
 def _cmd_enumerate(args) -> Report:
+    spec = parse_spec(args.set)
     options = EnumerationOptions(squarefree_only=args.squarefree_only, backend=args.backend)
-    terms = enumerate_terms(parse_spec(args.set), args.x, options)
-    records = [{"n": n, "mu": mu} for n, mu in terms]
+    # Plain text pads every key to the longest, the last member's.  A first
+    # pass finds it; its table is gone before the streamed pass builds one.
+    width = 0
+    if args.format == "plain":
+        last = deque(enumerate_terms(spec, args.x, options), maxlen=1)
+        width = len(f"mu@{last[0].n}") if last else 0
+    # Every check has run by here.  The three views share one stream, since
+    # only the rendered format draws on it.
+    terms = enumerate_terms(spec, args.x, options)
+    records = ({"n": n, "mu": mu} for n, mu in terms)
     return Report(
-        [(f"mu@{r['n']}", r["mu"]) for r in records],
+        ((f"mu@{n}".ljust(width), mu) for n, mu in terms),
         {"set": args.set, "x": args.x, "terms": records},
         records,
         columns=["n", "mu"],
@@ -380,7 +416,7 @@ def _cmd_sweep(args) -> Report:
     else:
         result = sweeps.run_sweep(args.kind, args.trials, args.seed)
     if args.dump is not None:
-        _write(args.dump, json.dumps(result.instances, indent=1) + "\n")
+        _write(args.dump, (json.dumps(result.instances, indent=1), "\n"))
     pairs = [
         ("kind", result.kind),
         ("trials", result.trials),

@@ -144,7 +144,7 @@ def gran_residual(spec: PrimeSetSpec, x_grid: list[int]) -> list[GranResidualRow
     points = sorted(set(x_grid))
     tables = code_tables(spec, _checked_grid_max(x_grid))
     count_terms = [members for members, _ in table_tallies(next(tables), points)]
-    inside = next(tables)  # built once the table of <P'> is gone
+    inside = next(tables)  # built once the flags of <P'> are gone
     rows = {}
     for x, count_term, (value, _), (_, mobius_total) in zip(
         points, count_terms, table_fsums(inside, points), table_tallies(inside, points)

@@ -39,9 +39,9 @@ from itertools import compress
 
 from .errors import DomainError, ResourceError, SpecParseError
 
-# Sieving above this limit is refused rather than attempted; the byte-per-odd
-# sieve would need ~50 MB at the ceiling and the package makes no claims
-# about prime counting beyond it.
+# Sieving above this limit is refused rather than attempted; the flags hold
+# a byte per n, 100 MB at the ceiling, and building them peaks at 2 bytes
+# per n.  The package makes no claims about prime counting beyond it.
 MAX_SIEVE_LIMIT = 10**8
 
 # Working precision (binary digits) of the reference log-fraction test,

@@ -43,11 +43,12 @@ from .primes import _select, is_prime
 # Enumeration refuses x beyond the sieve's ceiling: every table walks the
 # prime flags up to x.  Peak bytes per n (tracemalloc at x = 1e6, plus a few
 # KB): 3 for member_table, float partial_sum, convergence_table,
-# mertens_window and all that reads one table (the table, the prime flags,
-# and the member flags or a slice copy of x/2 bytes and its translation); 3
-# for count_members_outside, zorn_check and gran_residual, which are done
-# with the table of <P'> before the table of <P> is built, each plus 4 bytes
-# per member prime, which code_tables keeps as one array.  300-330 MB at 1e8.
+# mertens_window, enumerate (which streams its rows off the table) and all
+# that reads one table (the table, the prime flags, and the member flags or
+# a slice copy of x/2 bytes and its translation); 3 for zorn_check and
+# gran_residual and 2.5 for count_members_outside, which are done with the
+# flags of <P'> before the table of <P> is built, each plus 4 bytes per
+# member prime, which code_tables keeps as one array.  300-330 MB at 1e8.
 # Exact partial_sum of an infinite set reads smooth_split: 3 per n plus 4 per
 # member prime (one array, cut in place to those above sqrt(x)), and its
 # merge's integers, under 1 byte per n at the exact ceiling of 1e5.  The
@@ -60,10 +61,9 @@ from .primes import _select, is_prime
 # holds exactly.
 MAX_ENUM_LIMIT = MAX_SIEVE_LIMIT
 
-# auto backend: the heap is memory-light for sparse semigroups, the sieve is
-# cache-efficient for dense ones.
+# auto backend: for a finite set of at most 8 primes the heap steps only
+# through the members, far fewer than the x + 1 entries the sieve walks.
 _AUTO_HEAP_MAX_PRIMES = 8
-_AUTO_HEAP_MIN_X = 10**6
 
 # Table codes: 0 = not in <P>, 1 = mu +1, 2 = mu -1, 3 = member with mu 0,
 # 4 = a generating prime (mu -1).  The flip and the square act on multiples
@@ -175,13 +175,18 @@ def _member_primes(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
 
 
 def code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:
-    """The code table of <P'> up to x, then that of <P>, from one membership
-    pass, each built when asked for.  <P'> is generated by the prime flags
-    minus the members rather than read off <P>, so the two count apart.  The
-    members wait as a list, not as flags, so <P'> takes no more memory than <P>."""
+    """The membership flags of <P'> up to x, then the code table of <P>, from
+    one membership pass, each built when asked for.  <P'> is the n >= 1 that
+    no member prime divides, so its flags are sieved from the members alone
+    and share no builder with <P>.  The members wait as an array, not flags."""
     primes, members = _member_primes(spec, x)
-    yield _code_table(primes, _flagged(bytearray(primes), members, 0), x)
-    yield _code_table(primes, _flagged(bytearray(x + 1), members, 1), x)
+    outside = bytearray(b"\x01") * (x + 1)
+    outside[0] = 0
+    for p in members:
+        outside[p::p] = bytearray(x // p)
+    yield outside
+    del outside  # gone before the table of <P> is built
+    yield _code_table(primes, _flagged(bytearray(x + 1), members), x)
 
 
 def smooth_split(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
@@ -190,15 +195,15 @@ def smooth_split(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
     The smooth flags are new: _select may have returned the prime flags."""
     primes, members = _member_primes(spec, x)
     k = bisect_right(members, math.isqrt(x))
-    table = _code_table(primes, _flagged(bytearray(x + 1), islice(members, k), 1), x)
+    table = _code_table(primes, _flagged(bytearray(x + 1), islice(members, k)), x)
     del members[:k]
     return table, members
 
 
-def _flagged(flags: bytearray, positions: Iterable[int], value: int) -> bytearray:
-    """``flags`` with flags[p] = value for each p in ``positions``."""
+def _flagged(flags: bytearray, positions: Iterable[int]) -> bytearray:
+    """``flags`` with flags[p] = 1 for each p in ``positions``."""
     for p in positions:
-        flags[p] = value
+        flags[p] = 1
     return flags
 
 
@@ -230,14 +235,9 @@ def _mobius_total(table: bytearray, start: int, stop: int) -> int:
     return table.count(1, start, stop) - table.count(2, start, stop) - table.count(4, start, stop)
 
 
-def table_tally(table: bytearray, x: int) -> tuple[int, int]:
-    """(#members, sum of mu) over 1 <= n <= x of a code table."""
-    return next(table_tallies(table, (x,)))
-
-
 def table_tallies(table: bytearray, grid: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """table_tally at each x of an ascending grid, each segment between grid
-    points counted once."""
+    """(#members, sum of mu) over 1 <= n <= x of a code table (or #members of
+    0/1 flags) at each x of an ascending grid, each segment counted once."""
     members = mobius_total = start = 0
     for x in grid:
         members += x + 1 - start - table.count(0, start, x + 1)  # table[0] == 0
@@ -315,7 +315,7 @@ def _heap_stream(primes: tuple[int, ...], x: int, squarefree_only: bool) -> Iter
             heapq.heappush(heap, (m, j, 0 if j == i else -mu))
 
 
-def _resolve_backend(spec: PrimeSetSpec, x: int, backend: str) -> str:
+def _resolve_backend(spec: PrimeSetSpec, backend: str) -> str:
     if backend == "heap":
         if not isinstance(spec, FinitePrimes):
             raise UsageError("the heap backend requires a finite prime set")
@@ -323,11 +323,7 @@ def _resolve_backend(spec: PrimeSetSpec, x: int, backend: str) -> str:
     if backend == "sieve":
         return "sieve"
     if backend == "auto":
-        if (
-            isinstance(spec, FinitePrimes)
-            and len(spec.primes) <= _AUTO_HEAP_MAX_PRIMES
-            and x > _AUTO_HEAP_MIN_X
-        ):
+        if isinstance(spec, FinitePrimes) and len(spec.primes) <= _AUTO_HEAP_MAX_PRIMES:
             return "heap"
         return "sieve"
     raise UsageError(f"unknown backend {backend!r} (expected sieve, heap or auto)")
@@ -340,7 +336,7 @@ def enumerate_terms(
     order, paired with mu(n).  With squarefree_only, mu == 0 terms are
     omitted.  x = 0 yields an empty stream."""
     check_enum_limit(x)
-    backend = _resolve_backend(spec, x, options.backend)
+    backend = _resolve_backend(spec, options.backend)
     if backend == "heap":
         assert isinstance(spec, FinitePrimes)
         return _heap_stream(spec.primes, x, options.squarefree_only)
@@ -360,10 +356,11 @@ def tally(spec: PrimeSetSpec, x: int) -> tuple[int, int]:
     """(#{n <= x : n in <P>}, sum of mu(n) over those n) by the auto
     backend."""
     check_enum_limit(x)
-    if _resolve_backend(spec, x, "auto") == "heap":
-        mus = [t.mu for t in enumerate_terms(spec, x)]
+    if _resolve_backend(spec, "auto") == "heap":
+        assert isinstance(spec, FinitePrimes)
+        mus = [mu for _, mu in _heap_stream(spec.primes, x, False)]
         return len(mus), sum(mus)
-    return table_tally(member_table(spec, x), x)
+    return next(table_tallies(member_table(spec, x), (x,)))
 
 
 def count_members(spec: PrimeSetSpec, x: int) -> int:
@@ -373,9 +370,9 @@ def count_members(spec: PrimeSetSpec, x: int) -> int:
 
 def count_members_outside(spec: PrimeSetSpec, x: int) -> int:
     """#{n <= x : every prime factor of n lies outside P} -- the size of the
-    complementary semigroup <P'> up to x, counted on the complement table
-    rather than by subtraction."""
-    return table_tally(next(code_tables(spec, x)), x)[0]
+    complementary semigroup <P'> up to x, counted on its flags, sieved from
+    the members of P, rather than by subtraction."""
+    return next(table_tallies(next(code_tables(spec, x)), (x,)))[0]
 
 
 def density(spec: PrimeSetSpec, x: int) -> float:

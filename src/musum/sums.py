@@ -60,7 +60,7 @@ from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_pr
 from .primes import primes_in
 from .semigroup import _distinct_prime_factors, _heap_stream, check_enum_limit, code_tables
 from .semigroup import member_table, mobius, smooth_split, squarefree_terms, table_floor_sum
-from .semigroup import table_fsums, table_primes, table_squarefree, table_tally, table_terms
+from .semigroup import table_fsums, table_primes, table_squarefree, table_tallies, table_terms
 
 # Exact summation carries denominators that divide lcm(1..x); at x = 1e5
 # that is ~43000 decimal digits, so exact mode refuses larger x.  Finite
@@ -236,8 +236,14 @@ def partial_sum_coprime(P: int, x: int, mode: str = "exact") -> SumReport:
     if P < 1:
         raise DomainError(f"coprimality modulus must be >= 1, got {P}")
     _validate_mode_and_x(mode, x)
-    terms = ((mu, n) for n, mu in squarefree_terms(AllPrimes(), x) if math.gcd(n, P) == 1)
-    return _report(f"coprime:P={P}", x, mode, terms)
+    return _report(f"coprime:P={P}", x, mode, _coprime_terms(P, x, 1))
+
+
+def _coprime_terms(k: int, x: int, sign: int) -> Iterator[Term]:
+    """(sign * mu(n), n) for the squarefree n <= x with gcd(n, k) = 1,
+    ascending, filtered term by term."""
+    pairs = squarefree_terms(AllPrimes(), x)
+    return ((sign * mu, n) for n, mu in pairs if math.gcd(n, k) == 1)
 
 
 def partial_sum_divisors(N: int, x: int, mode: str = "exact") -> SumReport:
@@ -265,11 +271,7 @@ def partial_sum_shifted(m: int, x: int, mode: str = "exact") -> SumReport:
         raise DomainError(f"shift m must be >= 1, got {m}")
     _validate_mode_and_x(mode, x)
     mu_m = mobius(m)
-    if mu_m == 0:
-        terms: Iterable[Term] = ()
-    else:
-        pairs = squarefree_terms(AllPrimes(), x)
-        terms = ((mu_m * mu, n) for n, mu in pairs if math.gcd(n, m) == 1)
+    terms = _coprime_terms(m, x, mu_m) if mu_m else ()
     return _report(f"shifted:m={m}", x, mode, terms)
 
 
@@ -278,14 +280,14 @@ def zorn_check(spec: PrimeSetSpec, x: int) -> ZornIdentity:
     up to x equals sum over d in <P>, d <= x of mu(d) * floor(x/d).
 
     Both sides come from one membership pass but are counted independently:
-    the left on the code table of <P'>, built from the prime flags minus the
-    member flags, the right on the table of <P> in floor blocks
-    (``table_floor_sum``), or term-wise from the heap for finite P.
+    the left on the flags of <P'>, sieved from the member primes alone (every
+    n >= 1 that none of them divides), the right on the code table of <P> in
+    floor blocks (``table_floor_sum``), or term-wise from the heap for finite P.
     """
     if x < 1:
         raise DomainError(f"zorn identity requires x >= 1, got {x}")
     tables = code_tables(spec, x)
-    lhs = table_tally(next(tables), x)[0]
+    lhs = next(table_tallies(next(tables), (x,)))[0]
     if isinstance(spec, FinitePrimes):
         rhs = sum(mu * (x // n) for n, mu in squarefree_terms(spec, x))
     else:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,27 @@ class TestEnumerationCeiling:
         assert captured.err.startswith("resource error:")
         assert "Traceback" not in captured.err
         assert peak < 4 * 2**20
+
+
+class TestEnumerateStreams:
+    """enumerate writes its rows as it draws them off the table, so its peak
+    stays at the table's few bytes per n in every format.  A warm-up run
+    first builds the cached parser."""
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_peak_stays_near_the_table(self, fmt):
+        x = 50000
+        argv = ["enumerate", "--set", "all", "--x", str(x), "--format", fmt]
+        with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+            run(argv)
+            tracemalloc.start()
+            try:
+                code = run(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 4 * x + 64 * 1024
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import tracemalloc
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from musum.errors import DomainError, ResourceError, UsageError
 from musum import primes as primes_module
+from musum import semigroup as semigroup_module
 from musum.experiments import convergence_table, gran_residual, mean_mobius, mertens_window
 from musum.primes import (
     AllPrimes,
@@ -19,12 +21,16 @@ from musum.primes import (
     IntervalPrimes,
     LogFracPrimes,
     ResiduePrimes,
+    _prime_flags,
+    _select,
     is_member,
     primes_in,
 )
 from musum.semigroup import (
     EnumerationOptions,
     SemigroupTerm,
+    _code_table,
+    code_tables,
     count_members,
     count_members_outside,
     density,
@@ -253,6 +259,52 @@ class TestCodeTableAgainstOracle:
         assert count_members_outside(spec, x) == len(_oracle(index, x, True))
 
 
+def _replaced_complement_table(spec, x):
+    """The code table of <P'> that code_tables built before its flags were
+    sieved from the member primes: the prime flags minus the members, run
+    through _code_table."""
+    primes = _prime_flags(x)
+    members = list(compress(range(x + 1), _select(spec, primes)))
+    complement = bytearray(primes)
+    for p in members:
+        complement[p] = 0
+    return _code_table(primes, complement, x)
+
+
+_NONZERO = bytes(1) + bytes([1]) * 255
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_FORMS)))
+def test_complement_flags_match_the_replaced_code_table(index):
+    spec = SPEC_FORMS[index][0]
+    for x in [*range(2001), 10**6]:
+        flags = next(code_tables(spec, x))
+        assert flags == _replaced_complement_table(spec, x).translate(_NONZERO), x
+        if 1 <= x <= 2000:
+            assert zorn_check(spec, x).equal, x
+
+
+_EIGHT = FinitePrimes((2, 3, 5, 7, 11, 13, 17, 19))
+_NINE = FinitePrimes(_EIGHT.primes + (23,))
+
+
+@pytest.mark.parametrize("x", [10**3, 10**5, 10**6])
+def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypatch):
+    # Stand-ins record the route that enumerate_terms and tally take.
+    routes = []
+    monkeypatch.setattr(semigroup_module, "_heap_stream",
+                        lambda primes, x, squarefree_only: routes.append("heap") or iter(()))
+    monkeypatch.setattr(semigroup_module, "member_table",
+                        lambda spec, x: routes.append("sieve") or bytearray(x + 1))
+    cases = [(FinitePrimes((7,)), "heap"), (_EIGHT, "heap"), (_NINE, "sieve")]
+    cases += [(spec, "sieve") for spec, _ in SPEC_FORMS if not isinstance(spec, FinitePrimes)]
+    for spec, route in cases:
+        routes.clear()
+        list(enumerate_terms(spec, x))
+        count_members(spec, x)
+        assert routes == [route, route], (spec, x)
+
+
 # The peak bytes per n of x that the MAX_ENUM_LIMIT comment states for each
 # route, plus 4 bytes per member prime where code_tables or smooth_split
 # keeps the members as one array, plus the few KB of Python objects any call
@@ -262,7 +314,7 @@ class TestCodeTableAgainstOracle:
     "route, x, per_n, per_member",
     [
         (member_table, 10**6, 3, 0),
-        (count_members_outside, 10**6, 3, 4),
+        (count_members_outside, 10**6, 2.5, 4),
         (zorn_check, 10**6, 3, 4),
         (lambda spec, x: convergence_table(spec, [x]), 10**6, 3, 0),
         (lambda spec, x: gran_residual(spec, [x]), 10**6, 4, 4),

@@ -189,6 +189,20 @@ class TestShiftedSum:
         assert report.value_exact == 0
         assert report.term_count == 0
 
+    def test_terms_are_the_coprime_terms_times_mu_m(self):
+        # mu(m*n) = mu(m) * mu(n) for gcd(m, n) = 1: the terms of the
+        # coprime sum with P = m, each times mu(m), in the same order.
+        for m in (1, 2, 4, 6, 12, 30, 77):
+            sign = mobius_bruteforce(m)
+            for x in (0, 1, 50, 2000):
+                for mode in ("exact", "float"):
+                    shifted = partial_sum_shifted(m, x, mode)
+                    coprime = partial_sum_coprime(m, x, mode)
+                    assert shifted.term_count == (coprime.term_count if sign else 0)
+                    assert shifted.value_float == sign * coprime.value_float
+                    if mode == "exact":
+                        assert shifted.value_exact == sign * coprime.value_exact
+
     def test_against_direct_factorisation(self):
         # The oracle computes mu(m*n) by factorising the product outright.
         for m in (1, 2, 6, 9, 30, 77):
