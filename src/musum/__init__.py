@@ -49,7 +49,6 @@ from .primes import (
 )
 from .semigroup import (
     EnumerationOptions,
-    SemigroupTerm,
     count_members,
     density,
     enumerate_terms,

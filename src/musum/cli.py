@@ -21,7 +21,8 @@ not failures: those systems are the documented counterexamples, and no
 theorem covers them.
 
 Each subcommand is one entry of ``_COMMANDS``: its handler, help text and
-arguments.  Handlers return a ``Report``, which ``run`` writes.
+arguments.  Handlers return a ``Report`` of three views (plain ``pairs``, a
+JSON ``payload`` and a CSV table of ``Rows``), which ``run`` writes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -57,7 +58,10 @@ FORMATS = ("plain", "csv", "json")
 
 def _scalar(value: Any) -> Any:
     """The number rule every format shares: floats with 17 significant
-    digits, rationals as "numerator/denominator"; other values as given."""
+    digits, rationals as "numerator/denominator"; other values as given.
+    Ints are tested first, since a ``Fraction`` test is an ABC check."""
+    if isinstance(value, int):
+        return value
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, Fraction):
@@ -65,7 +69,7 @@ def _scalar(value: Any) -> Any:
     return value
 
 
-def _json_value(value: Any) -> str:
+def _json_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -74,10 +78,6 @@ def _json_value(value: Any) -> str:
         return str(_scalar(value))
     if isinstance(value, (str, Fraction)):
         return json.dumps(_scalar(value))
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in value.items()) + "}"
     raise TypeError(f"cannot serialise {type(value).__name__}")
 
 
@@ -89,37 +89,42 @@ def _csv_cell(value: Any) -> str:
     return str(_scalar(value))
 
 
+class Rows(NamedTuple):
+    """A table: CSV writes ``rows``, a list or an iterator of tuples, under
+    the header ``columns``; JSON writes an array of objects with those keys."""
+
+    columns: tuple[str, ...]
+    rows: Iterable[tuple]
+
+
+def _one_row(items: Iterable[tuple[str, Any]]) -> Rows:
+    """(key, value) items as a one-row table, the keys its columns."""
+    columns, row = zip(*items)
+    return Rows(columns, [row])
+
+
 @dataclass
 class Report:
-    """One result in the three formats: plain text lists ``pairs``, CSV
-    writes ``records`` under the header ``columns``, JSON writes
-    ``payload``.  Left out, the records are the pairs as one record, the
-    columns are its keys and the payload is the pairs as one object.
-    ``pairs``, ``records`` and a payload value may be iterators, written as
-    they are drawn; iterated pairs come with their keys already padded.
-    ``failure``, if set, is raised once the report is written."""
+    """One result in the three formats: plain text lists ``pairs``, JSON
+    writes ``payload`` (by default the pairs as one object) and CSV writes
+    ``table`` (by default the pairs as one row).  ``pairs`` and the rows of
+    a ``Rows`` may be iterators, written as they are drawn; iterated pairs
+    come with their keys already padded.  ``failure``, if set, is raised
+    once the report is written."""
 
     pairs: Iterable[tuple[str, Any]]
     payload: dict | None = None
-    records: Iterable[dict] | None = None
-    columns: list[str] | None = None
+    table: Rows | None = None
     failure: VerificationError | None = None
-
-    def __post_init__(self):
-        if self.records is None:
-            self.records = [dict(self.pairs)]
-        if self.columns is None:
-            self.columns = list(self.records[0])
-        if self.payload is None:
-            self.payload = dict(self.pairs)
 
     def render(self, fmt: str) -> Iterator[str]:
         """The text in pieces, drawn as they are written."""
         if fmt == "json":
-            return chain(_json_pieces(self.payload), ("\n",))
+            payload = dict(self.pairs) if self.payload is None else self.payload
+            return chain(_json(payload), ("\n",))
         if fmt == "csv":
-            rows = (",".join(_csv_cell(r[c]) for c in self.columns) for r in self.records)
-            lines = chain([",".join(self.columns)], rows)
+            columns, rows = self.table or _one_row(self.pairs)
+            lines = chain([",".join(columns)], (",".join(map(_csv_cell, row)) for row in rows))
         else:
             pairs = self.pairs
             width = 0 if isinstance(pairs, Iterator) else max((len(k) for k, _ in pairs), default=0)
@@ -133,17 +138,24 @@ def _joined(sep: str, pieces: Iterable[str]) -> Iterator[str]:
     return chain(islice(it, 1), map(sep.__add__, it))
 
 
-def _json_pieces(payload: dict) -> Iterator[str]:
-    """``_json_value(payload)`` in pieces; a value that is an iterator is
-    written as an array, one element at a time."""
-    yield "{"
-    for i, (key, value) in enumerate(payload.items()):
-        yield f"{',' if i else ''}{json.dumps(key)}:"
-        if isinstance(value, Iterator):
-            yield from chain(("[",), _joined(",", map(_json_value, value)), ("]",))
-        else:
-            yield _json_value(value)
-    yield "}"
+def _json(value: Any) -> Iterator[str]:
+    """The JSON text of ``value`` in pieces.  A ``Rows`` is an array of
+    objects, each key encoded once; its rows and an object's values stream."""
+    if isinstance(value, Rows):
+        keys = [f"{json.dumps(c)}:" for c in value.columns]
+        objects = ("{" + ",".join(map(str.__add__, keys, map(_json_cell, row))) + "}"
+                   for row in value.rows)
+        yield from chain(("[",), _joined(",", objects), ("]",))
+    elif isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{',' if i else ''}{json.dumps(key)}:"
+            yield from _json(item)
+        yield "}"
+    elif isinstance(value, (list, tuple)):
+        yield "[" + ",".join("".join(_json(item)) for item in value) + "]"
+    else:
+        yield _json_cell(value)
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
@@ -170,12 +182,17 @@ def _fields_report(result: Any) -> Report:
     return Report([(f.name, getattr(result, f.name)) for f in fields(result)])
 
 
+def _field_rows(cls: type, rows: list) -> Rows:
+    """Dataclass rows as a table, their fields in declared order."""
+    return Rows(tuple(f.name for f in fields(cls)), [astuple(r) for r in rows])
+
+
 def _experiment_report(experiment: str, params: dict, verdicts: dict,
-                       pairs: list[tuple[str, Any]], result: dict | list[dict],
-                       columns: list[str] | None = None,
-                       verdict_prefix: str = "verdict_") -> Report:
-    """The JSON envelope of an experiment; CSV writes the record(s) of
-    ``result`` and plain text ends with the verdicts."""
+                       pairs: list[tuple[str, Any]], result: dict | Rows,
+                       table: Rows | None = None, verdict_prefix: str = "verdict_") -> Report:
+    """The JSON envelope of an experiment around ``result``; CSV writes
+    ``table``, by default ``result`` (an object as one row), and plain text
+    ends with the verdicts."""
     payload = {
         "experiment": experiment,
         "params": params,
@@ -184,8 +201,9 @@ def _experiment_report(experiment: str, params: dict, verdicts: dict,
         "result": result,
     }
     pairs = pairs + [(verdict_prefix + k, v) for k, v in verdicts.items()]
-    records = result if isinstance(result, list) else [result]
-    return Report(pairs, payload, records, columns)
+    if table is None:
+        table = result if isinstance(result, Rows) else _one_row(result.items())
+    return Report(pairs, payload, table)
 
 
 def _parse_x_grid(text: str) -> list[int]:
@@ -275,7 +293,7 @@ def _cmd_converge(args) -> Report:
         {"set": args.set, "x_grid": grid},
         verdicts,
         [("x_grid", args.x_grid)] + [(f"gap@{r.x}", r.gap) for r in rows],
-        [asdict(r) for r in rows],
+        _field_rows(experiments.ConvergenceRow, rows),
     )
 
 
@@ -309,18 +327,16 @@ def _cmd_mean_mobius(args) -> Report:
 
 def _cmd_gran(args) -> Report:
     rows = experiments.gran_residual(parse_spec(args.set), _parse_x_grid(args.x_grid))
-    records = [
-        {"x": r.x, "lhs": r.lhs, "count_term": r.count_term, "mertens_term": r.mertens_term,
-         "residual": r.residual, "residual_over_x": r.residual / r.x, "gamma": r.gamma}
-        for r in rows
-    ]
+    # JSON adds residual / x to each row; CSV keeps the row's own fields.
+    columns = ("x", "lhs", "count_term", "mertens_term", "residual", "residual_over_x", "gamma")
     return _experiment_report(
         "gran",
         {"set": args.set, "x_grid": [r.x for r in rows]},
         {},
-        [(f"residual_over_x@{r['x']}", r["residual_over_x"]) for r in records],
-        records,
-        columns=[f.name for f in fields(experiments.GranResidualRow)],
+        [(f"residual_over_x@{r.x}", r.residual / r.x) for r in rows],
+        Rows(columns, [(r.x, r.lhs, r.count_term, r.mertens_term, r.residual, r.residual / r.x,
+                        r.gamma) for r in rows]),
+        _field_rows(experiments.GranResidualRow, rows),
     )
 
 
@@ -345,14 +361,11 @@ def _cmd_logres(args) -> Report:
 def _cmd_blowup(args) -> Report:
     rows = blowup_scan(args.t, args.shift, _parse_reals(args.eps, "eps grid"),
                        prime_limit=args.prime_limit, width=args.width)
-    records = [
-        {"eps": r.eps, "re": r.value.real, "im": r.value.imag, "modulus": r.modulus,
-         "log_tail_bound": r.log_tail_bound}
-        for r in rows
-    ]
+    table = Rows(("eps", "re", "im", "modulus", "log_tail_bound"),
+                 [(r.eps, r.value.real, r.value.imag, r.modulus, r.log_tail_bound) for r in rows])
     payload = {"t": args.t, "shift": args.shift, "width": args.width,
-               "prime_limit": args.prime_limit, "rows": records}
-    return Report([(f"modulus@eps={r.eps!r}", r.modulus) for r in rows], payload, records)
+               "prime_limit": args.prime_limit, "rows": table}
+    return Report([(f"modulus@eps={r.eps!r}", r.modulus) for r in rows], payload, table)
 
 
 def _cmd_gs_const(args) -> Report:
@@ -390,17 +403,13 @@ def _cmd_enumerate(args) -> Report:
     width = 0
     if args.format == "plain":
         last = deque(enumerate_terms(spec, args.x, options), maxlen=1)
-        width = len(f"mu@{last[0].n}") if last else 0
+        width = len(f"mu@{last[0][0]}") if last else 0
     # Every check has run by here.  The three views share one stream, since
     # only the rendered format draws on it.
     terms = enumerate_terms(spec, args.x, options)
-    records = ({"n": n, "mu": mu} for n, mu in terms)
-    return Report(
-        ((f"mu@{n}".ljust(width), mu) for n, mu in terms),
-        {"set": args.set, "x": args.x, "terms": records},
-        records,
-        columns=["n", "mu"],
-    )
+    table = Rows(("n", "mu"), terms)
+    return Report(((f"mu@{n}".ljust(width), mu) for n, mu in terms),
+                  {"set": args.set, "x": args.x, "terms": table}, table)
 
 
 def _cmd_sweep(args) -> Report:

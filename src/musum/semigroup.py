@@ -31,10 +31,9 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, compress, islice
 from operator import truediv
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceError, UsageError
 from .primes import MAX_SIEVE_LIMIT, MR_PROVEN_BOUND, FinitePrimes, PrimeSetSpec, _prime_flags
@@ -76,15 +75,6 @@ _GENERATOR = bytes((0, 0, 0, 0, 1)) + bytes(251)  # a generating prime
 _SIGNED_MU = bytes((0, 1, 255, 0, 255)) + bytes(251)  # mu as a signed byte
 _START = bytes((1, 4)) + bytes(254)  # member flags to start codes
 _MU = (0, 1, -1, 0, -1)
-
-
-class SemigroupTerm(NamedTuple):
-    n: int
-    mu: int
-
-
-# Builds a term from an (n, mu) pair without a Python-level call.
-_term = partial(tuple.__new__, SemigroupTerm)
 
 
 @dataclass(frozen=True)
@@ -295,18 +285,19 @@ def table_floor_sum(table: bytearray, x: int) -> int:
     return total
 
 
-def _heap_stream(primes: tuple[int, ...], x: int, squarefree_only: bool) -> Iterator[SemigroupTerm]:
-    """Merge generation for finite P: pop the smallest member, extend it by
-    generators with index >= the largest index already used.  Ascending real
-    generators > 1 work too; each product is then formed in index order."""
+def _heap_stream(primes: tuple[int, ...], x: int, squarefree_only: bool
+                 ) -> Iterator[tuple[int, int]]:
+    """(n, mu(n)) by merge generation for finite P: pop the smallest member,
+    extend it by generators with index >= the largest index already used.
+    Ascending real generators > 1 work too, each product formed in index order."""
     if x >= 1:
-        yield SemigroupTerm(1, 1)
+        yield 1, 1
     gens = [p for p in primes if p <= x]
     heap = [(p, i, -1) for i, p in enumerate(gens)]
     heapq.heapify(heap)
     while heap:
         n, i, mu = heapq.heappop(heap)
-        yield SemigroupTerm(n, mu)
+        yield n, mu
         start = i + 1 if squarefree_only else i
         for j in range(start, len(gens)):
             m = n * gens[j]
@@ -331,16 +322,16 @@ def _resolve_backend(spec: PrimeSetSpec, backend: str) -> str:
 
 def enumerate_terms(
     spec: PrimeSetSpec, x: int, options: EnumerationOptions = EnumerationOptions()
-) -> Iterator[SemigroupTerm]:
-    """Yield every n in <P> with n <= x exactly once, in strictly increasing
-    order, paired with mu(n).  With squarefree_only, mu == 0 terms are
+) -> Iterator[tuple[int, int]]:
+    """Yield (n, mu(n)) for every n in <P> with n <= x exactly once, in
+    strictly increasing order.  With squarefree_only, mu == 0 terms are
     omitted.  x = 0 yields an empty stream."""
     check_enum_limit(x)
     backend = _resolve_backend(spec, options.backend)
     if backend == "heap":
         assert isinstance(spec, FinitePrimes)
         return _heap_stream(spec.primes, x, options.squarefree_only)
-    return map(_term, table_terms(member_table(spec, x), x, options.squarefree_only))
+    return table_terms(member_table(spec, x), x, options.squarefree_only)
 
 
 def squarefree_terms(spec: PrimeSetSpec, x: int) -> Iterator[tuple[int, int]]:

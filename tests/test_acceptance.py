@@ -329,12 +329,12 @@ def test_oracle_equivalence_sieve_vs_heap():
         spec = FinitePrimes(tuple(rng.sample(_PRIMES_TO_100, rng.randrange(0, 7))))
         x = rng.randrange(0, 10**4 + 1)
         sieve_bytes = "\n".join(
-            f"{t.n},{t.mu}"
-            for t in enumerate_terms(spec, x, EnumerationOptions(backend="sieve"))
+            f"{n},{mu}"
+            for n, mu in enumerate_terms(spec, x, EnumerationOptions(backend="sieve"))
         ).encode()
         heap_bytes = "\n".join(
-            f"{t.n},{t.mu}"
-            for t in enumerate_terms(spec, x, EnumerationOptions(backend="heap"))
+            f"{n},{mu}"
+            for n, mu in enumerate_terms(spec, x, EnumerationOptions(backend="heap"))
         ).encode()
         assert sieve_bytes == heap_bytes, (spec, x)
     _criterion(

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from musum.cli import (
     EXIT_VERIFICATION,
     run,
 )
-from musum.semigroup import MAX_ENUM_LIMIT
+from musum.primes import parse_spec
+from musum.semigroup import MAX_ENUM_LIMIT, EnumerationOptions, enumerate_terms
 from musum.sums import SumReport, ZornIdentity
 from musum.sweeps import SWEEP_KINDS, replay_instances, run_sweep
 
@@ -229,6 +231,68 @@ class TestEnumerateStreams:
                 tracemalloc.stop()
         assert code == EXIT_OK
         assert peak < 4 * x + 64 * 1024
+
+
+class TestWriters:
+    """The CSV and JSON writers against text built independently: from
+    enumerate_terms for enumerate, and by json.dumps for a payload that holds
+    every kind of value a handler passes."""
+
+    @pytest.mark.parametrize("squarefree_only", [False, True])
+    @pytest.mark.parametrize("set_text,backend", [
+        ("all", "auto"), ("cofinite:2", "auto"), ("residue:1 mod 4", "auto"),
+        ("finite:2,3,5", "heap"), ("finite:2,3,5", "sieve"),
+    ])
+    def test_enumerate_matches_its_terms(self, capsys, set_text, backend, squarefree_only):
+        x = 20000
+        options = EnumerationOptions(squarefree_only=squarefree_only, backend=backend)
+        terms = list(enumerate_terms(parse_spec(set_text), x, options))
+        argv = ["enumerate", "--set", set_text, "--x", str(x), "--backend", backend]
+        argv += ["--squarefree-only"] if squarefree_only else []
+        code, out, _ = _run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        assert out == "".join(f"{line}\n" for line in ["n,mu", *(f"{n},{mu}" for n, mu in terms)])
+        code, out, _ = _run(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        expected = {"set": set_text, "x": x, "terms": [{"n": n, "mu": mu} for n, mu in terms]}
+        assert out == json.dumps(expected, separators=(",", ":")) + "\n"
+
+    @staticmethod
+    def _json(payload):
+        return "".join(cli.Report([("unused", 0)], payload).render("json"))
+
+    def test_payload_of_every_kind(self):
+        rows = [(1, True), (2, None), (3, "a,b")]
+        payload = {
+            "yes": True, "no": False, "none": None, "int": -(10**30), "str": 'q"\\',
+            "list": [1, [2, 3]], "tuple": (4, 5), "empty": [], "nested": {"a": {"b": [None]}},
+            "failures": [{"set": "all", "x": 3, "reason": "forced"}, {"set": "finite:2"}],
+            "rows": cli.Rows(("n", "flag"), rows),
+            "stream": cli.Rows(("n", "flag"), iter(rows)),
+            "no_rows": cli.Rows(("n", "flag"), iter([])),
+        }
+        records = [{"n": n, "flag": flag} for n, flag in rows]
+        expected = {**payload, "tuple": [4, 5], "rows": records, "stream": records, "no_rows": []}
+        text = self._json(payload)
+        assert text == json.dumps(expected, separators=(",", ":")) + "\n"
+        assert json.loads(text) == expected
+
+    def test_payload_numbers_follow_the_number_rule(self):
+        payload = {"float": 0.1, "rational": Fraction(-3, 4), "list": [2.5, Fraction(1, 3)],
+                   "rows": cli.Rows(("x", "value"), iter([(1, 0.1), (2, Fraction(7, 2))]))}
+        text = self._json(payload)
+        assert json.loads(text) == {"float": 0.1, "rational": "-3/4", "list": [2.5, "1/3"],
+                                    "rows": [{"x": 1, "value": 0.1}, {"x": 2, "value": "7/2"}]}
+        assert text.count("0.10000000000000001") == 2
+
+    def test_table_as_csv(self):
+        rows = iter([(1, True), (2, None), (3, 0.1), (4, Fraction(-3, 4))])
+        text = "".join(cli.Report([("unused", 0)], table=cli.Rows(("n", "value"), rows)).render("csv"))
+        assert text == "n,value\n1,true\n2,\n3,0.10000000000000001\n4,-3/4\n"
+
+    def test_unknown_value_is_refused(self):
+        with pytest.raises(TypeError):
+            self._json({"set": {1, 2}})
 
 
 class TestDeterminism:

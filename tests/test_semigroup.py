@@ -28,7 +28,6 @@ from musum.primes import (
 )
 from musum.semigroup import (
     EnumerationOptions,
-    SemigroupTerm,
     _code_table,
     code_tables,
     count_members,
@@ -101,7 +100,7 @@ class TestMobius:
 
 
 def _stream(spec, x, **kw):
-    return [(t.n, t.mu) for t in enumerate_terms(spec, x, EnumerationOptions(**kw))]
+    return list(enumerate_terms(spec, x, EnumerationOptions(**kw)))
 
 
 class TestEnumerate:
@@ -110,6 +109,11 @@ class TestEnumerate:
         assert _stream(FinitePrimes((2, 3)), 10) == expected
         assert _stream(FinitePrimes((2, 3)), 10, backend="heap") == expected
         assert _stream(FinitePrimes((2, 3)), 10, backend="sieve") == expected
+
+    def test_terms_are_plain_tuples(self):
+        for backend in ("heap", "sieve"):
+            terms = _stream(FinitePrimes((2, 3)), 10, backend=backend)
+            assert {type(t) for t in terms} == {tuple}
 
     def test_all_primes_up_to_five(self):
         assert _stream(AllPrimes(), 5) == [(1, 1), (2, -1), (3, -1), (4, 0), (5, -1)]
@@ -156,7 +160,7 @@ class TestEnumerate:
         st.integers(min_value=1, max_value=5000),
     )
     def test_stream_strictly_increasing(self, primes, x):
-        ns = [t.n for t in enumerate_terms(FinitePrimes(tuple(primes)), x)]
+        ns = [n for n, _ in enumerate_terms(FinitePrimes(tuple(primes)), x)]
         assert ns[0] == 1
         assert all(a < b for a, b in zip(ns, ns[1:]))
 
@@ -165,7 +169,7 @@ class TestEnumerate:
         pool = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
         for _ in range(10):
             spec = FinitePrimes(tuple(rng.sample(pool, rng.randrange(1, 6))))
-            inside = {t.n for t in enumerate_terms(spec, 10**4)}
+            inside = {n for n, _ in enumerate_terms(spec, 10**4)}
             banned = set(spec.primes)
             outside = {
                 n
