@@ -35,7 +35,8 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
+from typing import Iterator
 
 from .errors import DomainError, ResourceError, SpecParseError
 
@@ -107,7 +108,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     Raises ResourceError above MAX_SIEVE_LIMIT.
     """
     _check_sieve_limit(limit)
-    return PrimeTable(limit, tuple(compress(range(limit + 1), _prime_flags(limit))))
+    return PrimeTable(limit, tuple(_flagged_primes(_prime_flags(limit))))
 
 
 def _check_sieve_limit(limit: int) -> None:
@@ -130,6 +131,14 @@ def _prime_flags(limit: int) -> bytearray:
             start = p * p
             flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
     return flags
+
+
+def _flagged_primes(flags: bytearray) -> Iterator[int]:
+    """The n flagged in prime or member flags, ascending: 2 if it is flagged,
+    then the odd n, read through a strided view that copies nothing.  Only
+    primes are ever flagged, so no even n above 2 is skipped."""
+    view = memoryview(flags)
+    return chain(compress((2,), view[2:3]), compress(range(3, len(flags), 2), view[3::2]))
 
 
 class PrimeSetSpec:
@@ -324,7 +333,7 @@ def _logfrac_flags(spec: LogFracPrimes, primes: bytearray) -> tuple[bytearray, i
     log = math.log
     floor = math.floor
     fallbacks = 0
-    for p in compress(range(len(primes)), primes):
+    for p in _flagged_primes(primes):
         y = scale * log(p) - shift
         frac = y - floor(y)
         gap = (frac if frac <= 0.5 else 1.0 - frac) - width
@@ -344,7 +353,7 @@ def primes_in(spec: PrimeSetSpec, limit: int) -> list[int]:
     if isinstance(spec, FinitePrimes):
         _check_sieve_limit(limit)
         return [p for p in spec.primes if p <= limit]
-    return list(compress(range(limit + 1), member_flags(spec, limit)))
+    return list(_flagged_primes(member_flags(spec, limit)))
 
 
 _INT_RE = re.compile(r"-?\d+$")

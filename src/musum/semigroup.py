@@ -6,7 +6,10 @@ whose prime factors lie in P; it always contains 1 (the empty product).  Two
 independent backends produce the stream (n, mu(n)) in strictly increasing n:
 
 * ``sieve`` builds a code table with one byte per n up to x (see
-  ``_code_table``) by slice assignment over the multiples of each prime.
+  ``_code_table``): one slice assignment over the multiples of each small
+  prime, and for the large primes, grouped in bands by how many multiples
+  k they have up to x, one strided slice per multiplier j <= k and chunk
+  of a band, however many primes the chunk holds.
   Every count and sum over <P> is read off the table at C speed with
   ``bytes.count``, ``bytes.translate`` and ``itertools.compress``, and a
   table built up to x answers every bound below x through its prefix.
@@ -37,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceError, UsageError
 from .primes import MAX_SIEVE_LIMIT, MR_PROVEN_BOUND, FinitePrimes, PrimeSetSpec, _prime_flags
-from .primes import _select, is_prime
+from .primes import _flagged_primes, _select, is_prime
 
 # Enumeration refuses x beyond the sieve's ceiling: every table walks the
 # prime flags up to x.  Peak bytes per n (tracemalloc at x = 1e6, plus a few
@@ -50,7 +53,9 @@ from .primes import _select, is_prime
 # member prime, which code_tables keeps as one array.  300-330 MB at 1e8.
 # Exact partial_sum of an infinite set reads smooth_split: 3 per n plus 4 per
 # member prime (one array, cut in place to those above sqrt(x)), and its
-# merge's integers, under 1 byte per n at the exact ceiling of 1e5.  The
+# merge's integers, under 1 byte per n at the exact ceiling of 1e5.  Every
+# table build walks its large primes in bands after the small ones, with
+# temporaries of a few _BAND_CHUNK bytes: bounded by the chunk, not by x.  The
 # float reader table_fsums holds the table, one mask of the segment it reads
 # and, unless that is the whole table, a copy of the segment: within the 3
 # per n of the build.  The ceiling also makes table_fsums exact: each term
@@ -75,6 +80,13 @@ _GENERATOR = bytes((0, 0, 0, 0, 1)) + bytes(251)  # a generating prime
 _SIGNED_MU = bytes((0, 1, 255, 0, 255)) + bytes(251)  # mu as a signed byte
 _START = bytes((1, 4)) + bytes(254)  # member flags to start codes
 _MU = (0, 1, -1, 0, -1)
+
+# _code_table's band walk adds an action to each code: 8 flips it, 16 zeroes
+# it and 0 keeps it; 12 is a member prime itself (4 + 8), which stays 4.
+_BAND = bytes((0, 1, 2, 3, 4, 0, 0, 0, 0, 2, 1, 3, 4)) + bytes(243)
+# The odd n of a band that one action covers: each temporary of the band
+# walk holds a byte per n of one chunk, whatever x.
+_BAND_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -130,16 +142,30 @@ def _code_table(primes: bytearray, members: bytearray, x: int) -> bytearray:
     ``members``, a subset of the prime flags ``primes``.
 
     Every n starts as mu +1 and each member prime as a generator (code 4).
-    For each prime p <= x in turn: a member flips the sign of its other
-    multiples and sets its square's multiples to mu 0; a non-member zeroes
-    its multiples.  Zero is fixed by both translations and 3 by the flip, so
+    For each prime p <= x: a member flips the sign of its other multiples
+    and sets its square's multiples to mu 0; a non-member zeroes its
+    multiples.  Zero is fixed by both translations and 3 by the flip, so
     the order of the primes does not matter, and no prime's own code changes
     before its turn.
+
+    The primes up to x // top, with top = min(8, isqrt(x // 64)), take one
+    step each.  Every larger prime lies in a band x // (k + 1) < p <= x // k
+    with k < top <= sqrt(x) / 8, so p > sqrt(x): p has no square multiple up
+    to x, its multiples are p, 2p, ..., kp, and each j*p with j >= 2 is
+    composite, so it holds a code 0..3 whatever the order.  A band's primes
+    are odd, and its odd n are taken _BAND_CHUNK at a time.  One integer
+    holds a byte per n: 8 at a member prime (flip), 16 at another prime
+    (zero), 0 elsewhere.  For each j <= k the codes of the j*n are one
+    strided slice; the integer is added to them in one carry-free add (codes
+    are at most 4) and the sums are read back through _BAND.  Below x = 256
+    (top 1) there are no bands: a band pays for its k slices only when it
+    holds many primes.
     """
     table = members.translate(_START)
     del members  # freed early: the table now records which primes are members
     table[0] = 0
-    for p in compress(range(x + 1), primes):
+    top = max(1, min(8, math.isqrt(x // 64)))
+    for p in compress(range(x // top + 1), primes):
         if table[p] == 4:
             table[2 * p :: p] = table[2 * p :: p].translate(_FLIP)
             square = p * p
@@ -147,6 +173,18 @@ def _code_table(primes: bytearray, members: bytearray, x: int) -> bytearray:
                 table[square::square] = table[square::square].translate(_SQUARE)
         else:
             table[p::p] = bytes(x // p)
+    for k in range(1, top):
+        start, stop = (x // (k + 1) + 1) | 1, x // k + 1
+        for a in range(start, stop, 2 * _BAND_CHUNK):
+            b = min(a + 2 * _BAND_CHUNK, stop)
+            size = len(range(a, b, 2))
+            action = (int.from_bytes(primes[a:b:2], "little") << 4) - (
+                int.from_bytes(table[a:b:2].translate(_GENERATOR), "little") << 3
+            )
+            for j in range(1, k + 1):
+                codes = slice(j * a, j * b, 2 * j)
+                total = int.from_bytes(table[codes], "little") + action
+                table[codes] = total.to_bytes(size, "little").translate(_BAND)
     return table
 
 
@@ -161,7 +199,7 @@ def _member_primes(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
     """The prime flags up to x and the members of P up to x as one array."""
     check_enum_limit(x)
     primes = _prime_flags(x)
-    return primes, array("I", compress(range(x + 1), _select(spec, primes)))
+    return primes, array("I", _flagged_primes(_select(spec, primes)))
 
 
 def code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:

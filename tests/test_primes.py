@@ -24,7 +24,8 @@ from musum.primes import (
     render_spec,
     sieve_primes,
 )
-from musum.primes import _logfrac_flags, _prime_flags
+from musum.primes import _flagged_primes, _logfrac_flags, _prime_flags
+from musum.semigroup import _member_primes
 
 from oracles import odd_wheel_sieve, trial_division_primes
 
@@ -124,6 +125,30 @@ class TestPrimesIn:
 
     def test_empty_cofinite_equals_all(self):
         assert primes_in(CofinitePrimes(()), 10**5) == primes_in(AllPrimes(), 10**5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AllPrimes(),
+        FinitePrimes((2, 5, 11)),
+        CofinitePrimes((2, 7)),
+        IntervalPrimes(4.5, 60.0),
+        ResiduePrimes(3, 4),
+        LogFracPrimes(2.0, 0.2, 0.25),
+    ],
+    ids=render_spec,
+)
+def test_odd_only_listing_matches_compress_over_every_n(spec):
+    # The listings step over odd n only after 2; the reference reads every n.
+    for limit in [*range(2001), 10**6]:
+        flags = member_flags(spec, limit)
+        want = list(compress(range(limit + 1), flags))
+        assert list(_flagged_primes(flags)) == want, limit
+        assert primes_in(spec, limit) == want, limit
+        assert _member_primes(spec, limit)[1].tolist() == want, limit
+        if isinstance(spec, AllPrimes):
+            assert sieve_primes(limit).primes == tuple(want), limit
 
 
 def _spec_strategy():

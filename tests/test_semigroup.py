@@ -27,6 +27,9 @@ from musum.primes import (
     primes_in,
 )
 from musum.semigroup import (
+    _FLIP,
+    _SQUARE,
+    _START,
     EnumerationOptions,
     _code_table,
     code_tables,
@@ -36,6 +39,7 @@ from musum.semigroup import (
     enumerate_terms,
     member_table,
     mobius,
+    smooth_split,
     table_primes,
 )
 from musum.sums import EXACT_CEILING, partial_sum, zorn_check
@@ -288,6 +292,55 @@ def test_complement_flags_match_the_replaced_code_table(index):
             assert zorn_check(spec, x).equal, x
 
 
+def _per_prime_code_table(primes, members, x):
+    """The code table as _code_table built it before the large primes were
+    walked in bands: one slice step for every prime up to x."""
+    table = members.translate(_START)
+    table[0] = 0
+    for p in compress(range(x + 1), primes):
+        if table[p] == 4:
+            table[2 * p :: p] = table[2 * p :: p].translate(_FLIP)
+            square = p * p
+            if square <= x:
+                table[square::square] = table[square::square].translate(_SQUARE)
+        else:
+            table[p::p] = bytes(x // p)
+    return table
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_FORMS)))
+def test_every_table_route_matches_the_per_prime_walk(index):
+    spec = SPEC_FORMS[index][0]
+    # x where the band x/2 < p <= x holds one or two chunks of odd n, or one
+    # odd n more.
+    chunk = semigroup_module._BAND_CHUNK
+    edges = [4 * chunk * m + d for m in (1, 2) for d in (-1, 0, 1, 2)]
+    band_one = {len(range((x // 2 + 1) | 1, x + 1, 2)) for x in edges}
+    assert band_one == {chunk, chunk + 1, 2 * chunk, 2 * chunk + 1}
+    for x in [*range(2001), *edges, 10**6]:
+        primes = _prime_flags(x)
+        members = _select(spec, primes)
+        want = _per_prime_code_table(primes, members, x)
+        assert member_table(spec, x) == want, x
+        assert list(code_tables(spec, x))[1] == want, x
+        root = math.isqrt(x)
+        smooth = _per_prime_code_table(primes, members[: root + 1] + bytes(x - root), x)
+        assert smooth_split(spec, x)[0] == smooth, x
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_FORMS)))
+def test_bands_cut_into_short_chunks_match_the_per_prime_walk(index, monkeypatch):
+    # Chunks of 1 to 3 odd n put chunk edges all through every band; bands
+    # start at x = 256.
+    spec = SPEC_FORMS[index][0]
+    for x in range(256, 2001, 7):
+        chunk = 1 + x % 3
+        monkeypatch.setattr(semigroup_module, "_BAND_CHUNK", chunk)
+        primes = _prime_flags(x)
+        members = _select(spec, primes)
+        assert member_table(spec, x) == _per_prime_code_table(primes, members, x), (chunk, x)
+
+
 _EIGHT = FinitePrimes((2, 3, 5, 7, 11, 13, 17, 19))
 _NINE = FinitePrimes(_EIGHT.primes + (23,))
 
@@ -314,22 +367,24 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
 # keeps the members as one array, plus the few KB of Python objects any call
 # holds.  The exact sum runs at its own ceiling, with a byte per n to spare
 # for its integers.
+# The set is 1 mod 4, and all for a second member_table case, in which every
+# chunk of every band holds member primes.
 @pytest.mark.parametrize(
-    "route, x, per_n, per_member",
+    "route, spec, x, per_n, per_member",
     [
-        (member_table, 10**6, 3, 0),
-        (count_members_outside, 10**6, 2.5, 4),
-        (zorn_check, 10**6, 3, 4),
-        (lambda spec, x: convergence_table(spec, [x]), 10**6, 3, 0),
-        (lambda spec, x: gran_residual(spec, [x]), 10**6, 4, 4),
-        (partial_sum, EXACT_CEILING, 4, 4),
-        (lambda spec, x: partial_sum(spec, x, "float"), 10**6, 3, 0),
+        (member_table, ResiduePrimes(1, 4), 10**6, 3, 0),
+        (member_table, AllPrimes(), 10**6, 3, 0),
+        (count_members_outside, ResiduePrimes(1, 4), 10**6, 2.5, 4),
+        (zorn_check, ResiduePrimes(1, 4), 10**6, 3, 4),
+        (lambda spec, x: convergence_table(spec, [x]), ResiduePrimes(1, 4), 10**6, 3, 0),
+        (lambda spec, x: gran_residual(spec, [x]), ResiduePrimes(1, 4), 10**6, 4, 4),
+        (partial_sum, ResiduePrimes(1, 4), EXACT_CEILING, 4, 4),
+        (lambda spec, x: partial_sum(spec, x, "float"), ResiduePrimes(1, 4), 10**6, 3, 0),
     ],
-    ids=["member_table", "count_members_outside", "zorn_check", "convergence_table",
-         "gran_residual", "partial_sum", "partial_sum_float"],
+    ids=["member_table", "member_table_all", "count_members_outside", "zorn_check",
+         "convergence_table", "gran_residual", "partial_sum", "partial_sum_float"],
 )
-def test_table_routes_stay_within_their_stated_memory(route, x, per_n, per_member):
-    spec = ResiduePrimes(1, 4)
+def test_table_routes_stay_within_their_stated_memory(route, spec, x, per_n, per_member):
     members = len(primes_in(spec, x))
     tracemalloc.start()
     try:
