@@ -21,12 +21,18 @@ The textual grammar (used by the CLI ``--set`` argument) is::
 
 ``parse_spec`` and ``render_spec`` round-trip every representable value.
 
-``member_flags`` decides membership for every prime up to a limit in one
-pass, as one byte per n.  The five arithmetic forms are slices of the prime
-flags.  Log-fraction membership is decided in double precision wherever the
-distance to the width boundary exceeds a generous bound on the rounding
-error, and by the extended-precision test of ``is_member`` inside that band,
-so both routes make the same decision for every prime.
+Membership of every prime up to a limit is decided in one pass over one
+array of a byte per n: the sieve flags each prime with 1, and
+``_mark_members`` turns the 1 of each member into a 2 in place.  The five
+arithmetic forms mark by slice translations.  Log-fraction membership is
+decided in double precision wherever the distance to the width boundary
+exceeds a generous bound on the rounding error, and by the
+extended-precision test of ``is_member`` inside that band, so both routes
+make the same decision for every prime.  ``member_flags`` reads 0/1 flags
+off the marks and ``member_primes`` the members themselves; the code table
+of ``semigroup`` is built on the same array.  Every strided or long run of
+the array is read and written _CHUNK entries at a time, so no temporary
+grows with the limit.
 """
 
 from __future__ import annotations
@@ -41,9 +47,22 @@ from typing import Iterator
 from .errors import DomainError, ResourceError, SpecParseError
 
 # Sieving above this limit is refused rather than attempted; the flags hold
-# a byte per n, 100 MB at the ceiling, and building them peaks at 2 bytes
-# per n.  The package makes no claims about prime counting beyond it.
+# a byte per n, 100 MB at the ceiling, and building them takes no more than
+# that and a few chunks.  The package makes no claims about prime counting
+# beyond it.
 MAX_SIEVE_LIMIT = 10**8
+
+# The most entries that one step over a run of a byte-per-n array reads or
+# writes: each temporary of the sieve, the marking, the code table's walk
+# and its readers holds at most a chunk, whatever the limit.
+_CHUNK = 1 << 14
+
+# Translations of the marks, which hold 1 at a prime, 2 at a member prime
+# and 0 elsewhere: _PRIME gives 1 at every prime, _MEMBER 1 at a member
+# prime, and _MARK marks every prime as a member.
+_PRIME = bytes((0, 1, 1)) + bytes(253)
+_MEMBER = bytes((0, 0, 1)) + bytes(253)
+_MARK = bytes((0, 2, 2)) + bytes(253)
 
 # Working precision (binary digits) of the reference log-fraction test,
 # which ``is_member`` runs for every prime and ``member_flags`` runs only
@@ -108,7 +127,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     Raises ResourceError above MAX_SIEVE_LIMIT.
     """
     _check_sieve_limit(limit)
-    return PrimeTable(limit, tuple(_flagged_primes(_prime_flags(limit))))
+    return PrimeTable(limit, tuple(_coded_primes(_prime_flags(limit), _PRIME)))
 
 
 def _check_sieve_limit(limit: int) -> None:
@@ -122,23 +141,64 @@ def _check_sieve_limit(limit: int) -> None:
         )
 
 
+def _runs(start: int, stop: int, step: int) -> Iterator[slice]:
+    """The slices that cut range(start, stop, step) into runs of _CHUNK
+    entries (the last may be shorter); a range of at most a chunk is one."""
+    span = step * _CHUNK
+    if stop - start <= span:
+        return iter((slice(start, stop, step),))
+    return (slice(a, min(a + span, stop), step) for a in range(start, stop, span))
+
+
+def _zero(array: bytearray, start: int, step: int) -> None:
+    """array[start::step] = 0 for start < len(array), a run of at most
+    _CHUNK bytes at a time.  Each run is a new bytearray, which slice
+    assignment does not copy again (it copies bytes)."""
+    span = step * _CHUNK
+    while len(array) - start > span:
+        array[start : start + span : step] = bytearray(_CHUNK)
+        start += span
+    array[start::step] = bytearray((len(array) - 1 - start) // step + 1)
+
+
+def _translate(array: bytearray, codes: bytes, start: int = 0, step: int = 1,
+               stop: int | None = None) -> None:
+    """array[start:stop:step] translated through ``codes`` in place, a run
+    of at most _CHUNK entries at a time."""
+    stop = len(array) if stop is None else stop
+    span = step * _CHUNK
+    while stop - start > span:
+        array[start : start + span : step] = array[start : start + span : step].translate(codes)
+        start += span
+    array[start:stop:step] = array[start:stop:step].translate(codes)
+
+
 def _prime_flags(limit: int) -> bytearray:
-    """flags[n] = 1 if n is prime else 0, for 0 <= n <= limit; one byte per
-    n.  The caller checks the limit."""
-    flags = (bytearray(2) + bytearray([1]) * (limit - 1))[: limit + 1]
+    """flags[n] = 1 if n is prime else 0, for 0 <= n <= limit, in one
+    allocation of a byte per n.  The caller checks the limit."""
+    flags = bytearray(b"\x01") * (limit + 1)
+    flags[:2] = bytes(min(2, limit + 1))
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
+            count = (limit - p * p) // p + 1
+            if count > _CHUNK:
+                _zero(flags, p * p, p)
+            else:  # one run: the slice _zero would take, without its call
+                flags[p * p :: p] = bytearray(count)
     return flags
 
 
-def _flagged_primes(flags: bytearray) -> Iterator[int]:
-    """The n flagged in prime or member flags, ascending: 2 if it is flagged,
-    then the odd n, read through a strided view that copies nothing.  Only
-    primes are ever flagged, so no even n above 2 is skipped."""
-    view = memoryview(flags)
-    return chain(compress((2,), view[2:3]), compress(range(3, len(flags), 2), view[3::2]))
+def _coded_primes(array: bytearray, codes: bytes, stop: int | None = None) -> Iterator[int]:
+    """The primes p < stop (by default, all of the array) whose entry
+    ``codes`` maps to nonzero, ascending: 2 if it is one, then the odd p a
+    run at a time.  Each run is translated only when the walk reaches it, so
+    a caller may change the entries of composites ahead of the walk, and of
+    each prime at its turn."""
+    stop = len(array) if stop is None else stop
+    head = (2,) if stop > 2 and codes[array[2]] else ()
+    odd = (compress(range(run.start, run.stop, 2), array[run].translate(codes))
+           for run in _runs(3, stop, 2))
+    return chain.from_iterable(chain((head,), odd))
 
 
 class PrimeSetSpec:
@@ -279,81 +339,91 @@ def is_member(spec: PrimeSetSpec, p: int) -> bool:
 
 
 def member_flags(spec: PrimeSetSpec, limit: int) -> bytearray:
-    """flags[n] = 1 if n is a member of the set else 0, for 0 <= n <= limit.
+    """flags[n] = 1 if n is a member of the set else 0, for 0 <= n <= limit,
+    read off the marks in place.
 
     Raises DomainError below 0 and ResourceError above MAX_SIEVE_LIMIT, for
     every form.
     """
     _check_sieve_limit(limit)
-    return _select(spec, _prime_flags(limit))
+    flags = _member_marks(spec, limit)
+    _translate(flags, _MEMBER)
+    return flags
 
 
-def _select(spec: PrimeSetSpec, primes: bytearray) -> bytearray:
-    """Flags of the members among the primes flagged in ``primes`` (over
-    0..len(primes) - 1).  Leaves ``primes`` unchanged, but may return it."""
-    size = len(primes)
+def _member_marks(spec: PrimeSetSpec, limit: int) -> bytearray:
+    """The marks of 0..limit: 2 at a member prime, 1 at any other prime, 0
+    elsewhere.  The caller checks the limit."""
+    return _mark_members(spec, _prime_flags(limit))
+
+
+def _mark_members(spec: PrimeSetSpec, flags: bytearray) -> bytearray:
+    """Marks the members among the primes flagged 1 in ``flags`` with 2, in
+    place, and returns ``flags``."""
+    size = len(flags)
     if isinstance(spec, AllPrimes):
-        return primes
-    if isinstance(spec, FinitePrimes):
-        flags = bytearray(size)
+        _translate(flags, _MARK)
+    elif isinstance(spec, FinitePrimes):
         for p in spec.primes:
             if p < size:
-                flags[p] = 1
-        return flags
-    if isinstance(spec, CofinitePrimes):
-        flags = bytearray(primes)
+                flags[p] = 2
+    elif isinstance(spec, CofinitePrimes):
+        _translate(flags, _MARK)
         for p in spec.excluded:
             if p < size:
-                flags[p] = 0
-        return flags
-    if isinstance(spec, IntervalPrimes):
+                flags[p] = 1
+    elif isinstance(spec, IntervalPrimes):
         # lo < p <= hi for an integer p means floor(lo) < p <= floor(hi).
-        flags = bytearray(size)
         start = max(math.floor(spec.lo) + 1, 0)
         stop = min(math.floor(spec.hi) + 1, size)
         if start < stop:
-            flags[start:stop] = primes[start:stop]
-        return flags
-    if isinstance(spec, ResiduePrimes):
-        flags = bytearray(size)
-        flags[spec.a :: spec.m] = primes[spec.a :: spec.m]
-        return flags
-    if isinstance(spec, LogFracPrimes):
-        return _logfrac_flags(spec, primes)[0]
-    raise TypeError(f"unknown prime-set form: {type(spec).__name__}")
+            _translate(flags, _MARK, start, 1, stop)
+    elif isinstance(spec, ResiduePrimes):
+        _translate(flags, _MARK, spec.a, spec.m)
+    elif isinstance(spec, LogFracPrimes):
+        _logfrac_marks(spec, flags)
+    else:
+        raise TypeError(f"unknown prime-set form: {type(spec).__name__}")
+    return flags
 
 
-def _logfrac_flags(spec: LogFracPrimes, primes: bytearray) -> tuple[bytearray, int]:
-    """Member flags of a log-fraction set among the flagged primes, and the
-    number of primes the reference test had to decide (see _LOGFRAC_BAND)."""
-    flags = bytearray(len(primes))
+def _logfrac_marks(spec: LogFracPrimes, flags: bytearray) -> int:
+    """Marks the members of a log-fraction set among the primes flagged 1 in
+    ``flags`` with 2, in place; returns the number of primes the reference
+    test had to decide (see _LOGFRAC_BAND)."""
     scale = spec.t / (2.0 * math.pi)
     shift = spec.shift
     width = spec.width
     log = math.log
     floor = math.floor
     fallbacks = 0
-    for p in _flagged_primes(primes):
+    for p in _coded_primes(flags, _PRIME):
         y = scale * log(p) - shift
         frac = y - floor(y)
         gap = (frac if frac <= 0.5 else 1.0 - frac) - width
         if abs(gap) > _LOGFRAC_BAND * (1.0 + abs(y)):
             if gap < 0.0:
-                flags[p] = 1
+                flags[p] = 2
             continue
         fallbacks += 1
         if _logfrac_member(spec, p):
-            flags[p] = 1
-    return flags, fallbacks
+            flags[p] = 2
+    return fallbacks
+
+
+def member_primes(spec: PrimeSetSpec, limit: int) -> Iterator[int]:
+    """The members of the set that are <= limit, ascending, as an iterator
+    over the marks; a finite set's are read off its list, without sieving.
+    The limit is checked at the call."""
+    _check_sieve_limit(limit)
+    if isinstance(spec, FinitePrimes):
+        return (p for p in spec.primes if p <= limit)
+    return _coded_primes(_member_marks(spec, limit), _MEMBER)
 
 
 def primes_in(spec: PrimeSetSpec, limit: int) -> list[int]:
-    """Ascending list of the members of the set that are <= limit; a finite
-    set's are read off its list, without sieving."""
-    if isinstance(spec, FinitePrimes):
-        _check_sieve_limit(limit)
-        return [p for p in spec.primes if p <= limit]
-    return list(_flagged_primes(member_flags(spec, limit)))
+    """Ascending list of the members of the set that are <= limit."""
+    return list(member_primes(spec, limit))
 
 
 _INT_RE = re.compile(r"-?\d+$")

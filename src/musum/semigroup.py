@@ -5,20 +5,23 @@ For a prime set P, the semigroup <P> is the set of natural numbers all of
 whose prime factors lie in P; it always contains 1 (the empty product).  Two
 independent backends produce the stream (n, mu(n)) in strictly increasing n:
 
-* ``sieve`` builds a code table with one byte per n up to x (see
-  ``_code_table``): one slice assignment over the multiples of each small
-  prime, and for the large primes, grouped in bands by how many multiples
-  k they have up to x, one strided slice per multiplier j <= k and chunk
-  of a band, however many primes the chunk holds.
+* ``sieve`` builds a code table with one byte per n up to x in the one
+  array that the prime sieve and the membership marks of ``primes`` were
+  made in (see ``_code_table``): one slice step over the multiples of each
+  small prime, and for the large primes, grouped in bands by how many
+  multiples k they have up to x, one strided slice per multiplier j <= k
+  and chunk of a band, however many primes the chunk holds.  Every run
+  longer than a chunk is taken a chunk at a time, so no temporary grows
+  with x.
   Every count and sum over <P> is read off the table at C speed with
-  ``bytes.count``, ``bytes.translate`` and ``itertools.compress``, and a
-  table built up to x answers every bound below x through its prefix.
-  ``table_fsums`` gives the correctly rounded float sums of mu(n)/n at each
-  point of an ascending grid: ``math.fsum`` over ``map(truediv, ...)`` of
-  the n and the mu(n) that one translated mask selects, so no Python frame
-  runs per term.  Between grid points the exact prefix rides along as two
-  doubles, so each segment of the table is read twice, not once per later
-  point;
+  ``bytes.count``, ``bytes.translate`` and ``itertools.compress``, a chunk
+  at a time, and a table built up to x answers every bound below x through
+  its prefix.  ``table_fsums`` gives the correctly rounded float sums of
+  mu(n)/n at each point of an ascending grid: ``math.fsum`` over
+  ``map(truediv, ...)`` of the n and the mu(n) that each translated chunk
+  selects, so no Python frame runs per term.  Between grid points the
+  exact prefix rides along as two doubles, so each segment of the table is
+  read twice, not once per later point;
 * ``heap``  (finite P only) generalises the classic merge generation of
   Hamming numbers: each member is extended by generators whose index is at
   least the largest one already used, so every member appears exactly once.
@@ -34,31 +37,30 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress, starmap
 from operator import truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceError, UsageError
-from .primes import MAX_SIEVE_LIMIT, MR_PROVEN_BOUND, FinitePrimes, PrimeSetSpec, _prime_flags
-from .primes import _flagged_primes, _select, is_prime
+from .primes import _CHUNK, _MEMBER, _PRIME, MAX_SIEVE_LIMIT, MR_PROVEN_BOUND, FinitePrimes
+from .primes import PrimeSetSpec, _coded_primes, _member_marks, _runs, _translate, _zero, is_prime
 
-# Enumeration refuses x beyond the sieve's ceiling: every table walks the
-# prime flags up to x.  Peak bytes per n (tracemalloc at x = 1e6, plus a few
-# KB): 3 for member_table, float partial_sum, convergence_table,
+# Enumeration refuses x beyond the sieve's ceiling: every table is built on
+# the sieve's one array up to x.  Peak bytes per n (tracemalloc at x = 1e6):
+# 1.09 for member_table, float partial_sum, convergence_table,
 # mertens_window, enumerate (which streams its rows off the table) and all
-# that reads one table (the table, the prime flags, and the member flags or
-# a slice copy of x/2 bytes and its translation); 3 for zorn_check and
-# gran_residual and 2.5 for count_members_outside, which are done with the
-# flags of <P'> before the table of <P> is built, each plus 4 bytes per
-# member prime, which code_tables keeps as one array.  300-330 MB at 1e8.
-# Exact partial_sum of an infinite set reads smooth_split: 3 per n plus 4 per
-# member prime (one array, cut in place to those above sqrt(x)), and its
-# merge's integers, under 1 byte per n at the exact ceiling of 1e5.  Every
-# table build walks its large primes in bands after the small ones, with
-# temporaries of a few _BAND_CHUNK bytes: bounded by the chunk, not by x.  The
-# float reader table_fsums holds the table, one mask of the segment it reads
-# and, unless that is the whole table, a copy of the segment: within the 3
-# per n of the build.  The ceiling also makes table_fsums exact: each term
+# that reads one table: the array itself, which is sieved, marked and
+# turned into the table in place, and about 90 KB of chunks, which the
+# sieve, the walk and every reader take a _CHUNK at a time.  100 MB at 1e8.
+# count_members_outside, zorn_check and gran_residual also hold the flags of
+# <P'> beside the marks, and the member primes as one array (4 bytes each)
+# while they sieve those flags: 2.18 at 1e6 for 1 mod 4, 223 MB at 1e8 for
+# all primes; the flags are gone before the table of <P> is built.  Exact
+# partial_sum of an infinite set reads smooth_split: 1 per n plus 4 per
+# member prime, and its merge's integers, 2.09 per n at the exact ceiling of
+# 1e5 for 1 mod 4.  The float reader table_fsums holds a copy of one
+# run of the segment it reads and its translation, within the chunks above.
+# The ceiling also makes table_fsums exact: each term
 # +-1/n with n <= 10**8 < 2**27 rounds to a multiple of 2**-79, so every
 # prefix S of rounded terms is one too, and |S| < H(10**8) < 20 puts
 # S - fsum(S) within ulp/2 <= 2**-48 of 0: at most 31 bits, which a double
@@ -70,23 +72,26 @@ MAX_ENUM_LIMIT = MAX_SIEVE_LIMIT
 _AUTO_HEAP_MAX_PRIMES = 8
 
 # Table codes: 0 = not in <P>, 1 = mu +1, 2 = mu -1, 3 = member with mu 0,
-# 4 = a generating prime (mu -1).  The flip and the square act on multiples
+# 4 = a generating prime (mu -1); while the table is built, 5 = a prime not
+# yet walked that is not a member.  The flip and the square act on multiples
 # of a prime other than itself, which are never prime, so they meet codes
 # 0..3 only; the other entries of each translation are padding.
+_START = bytes((1, 5, 4)) + bytes(253)  # marks to start codes
+_UNWALKED = bytes(4) + bytes((1, 1)) + bytes(250)  # a prime, codes 4 and 5
 _FLIP = bytes((0, 2, 1, 3)) + bytes(252)  # one more prime factor
 _SQUARE = bytes((0, 3, 3, 3)) + bytes(252)  # a square factor
+_MEMBERS = bytes((0, 1, 1, 1, 1)) + bytes(251)  # in <P>
 _SQUAREFREE = bytes((0, 1, 1, 0, 1)) + bytes(251)  # nonzero mu
 _GENERATOR = bytes((0, 0, 0, 0, 1)) + bytes(251)  # a generating prime
 _SIGNED_MU = bytes((0, 1, 255, 0, 255)) + bytes(251)  # mu as a signed byte
-_START = bytes((1, 4)) + bytes(254)  # member flags to start codes
 _MU = (0, 1, -1, 0, -1)
 
 # _code_table's band walk adds an action to each code: 8 flips it, 16 zeroes
-# it and 0 keeps it; 12 is a member prime itself (4 + 8), which stays 4.
+# it and 0 keeps it.  _ACTION reads the action off a band prime's own code:
+# 8 at a member (4), 16 at any other (5).  Its sum 12 (4 + 8) stays 4, and
+# 21 (5 + 16) is 0, as are 16..19.
+_ACTION = bytes(4) + bytes((8, 16)) + bytes(250)
 _BAND = bytes((0, 1, 2, 3, 4, 0, 0, 0, 0, 2, 1, 3, 4)) + bytes(243)
-# The odd n of a band that one action covers: each temporary of the band
-# walk holds a byte per n of one chunk, whatever x.
-_BAND_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -137,50 +142,55 @@ def check_enum_limit(x: int) -> None:
         )
 
 
-def _code_table(primes: bytearray, members: bytearray, x: int) -> bytearray:
-    """Codes of 0..x for the semigroup generated by the primes flagged in
-    ``members``, a subset of the prime flags ``primes``.
+def _code_table(table: bytearray, x: int) -> bytearray:
+    """Codes of 0..x for the semigroup generated by the member primes marked
+    in ``table`` (see primes._mark_members), built in place in that one
+    array: the marks are not needed once the table is.
 
-    Every n starts as mu +1 and each member prime as a generator (code 4).
-    For each prime p <= x: a member flips the sign of its other multiples
-    and sets its square's multiples to mu 0; a non-member zeroes its
-    multiples.  Zero is fixed by both translations and 3 by the flip, so
-    the order of the primes does not matter, and no prime's own code changes
-    before its turn.
+    Every n starts as mu +1, each member prime as a generator (code 4) and
+    each other prime as code 5.  For each prime p <= x: a member flips the
+    sign of its other multiples and sets its square's multiples to mu 0; a
+    non-member zeroes its multiples, itself included.  Zero is fixed by both
+    translations and 3 by the flip, so the order of the primes does not
+    matter, and no prime's own code changes before its own turn: codes 4
+    and 5 mark the primes not yet walked, and the walk finds them by those
+    codes, translating each run of the table when it reaches it.  Every run
+    of multiples is taken _CHUNK entries at a time, so the array is the only
+    allocation that grows with x.
 
     The primes up to x // top, with top = min(8, isqrt(x // 64)), take one
     step each.  Every larger prime lies in a band x // (k + 1) < p <= x // k
     with k < top <= sqrt(x) / 8, so p > sqrt(x): p has no square multiple up
     to x, its multiples are p, 2p, ..., kp, and each j*p with j >= 2 is
     composite, so it holds a code 0..3 whatever the order.  A band's primes
-    are odd, and its odd n are taken _BAND_CHUNK at a time.  One integer
-    holds a byte per n: 8 at a member prime (flip), 16 at another prime
-    (zero), 0 elsewhere.  For each j <= k the codes of the j*n are one
-    strided slice; the integer is added to them in one carry-free add (codes
-    are at most 4) and the sums are read back through _BAND.  Below x = 256
-    (top 1) there are no bands: a band pays for its k slices only when it
-    holds many primes.
+    are odd, and its odd n are taken _CHUNK at a time.  One integer holds a
+    byte per n, translated from their codes: 8 at a member prime (flip), 16
+    at another prime (zero), 0 elsewhere.  For each j <= k the codes of the
+    j*n are one strided slice; the integer is added to them in one
+    carry-free add (codes are at most 5) and the sums are read back through
+    _BAND.  Below x = 256 (top 1) there are no bands: a band pays for its k
+    slices only when it holds many primes.
     """
-    table = members.translate(_START)
-    del members  # freed early: the table now records which primes are members
+    _translate(table, _START)
     table[0] = 0
     top = max(1, min(8, math.isqrt(x // 64)))
-    for p in compress(range(x // top + 1), primes):
-        if table[p] == 4:
-            table[2 * p :: p] = table[2 * p :: p].translate(_FLIP)
-            square = p * p
-            if square <= x:
-                table[square::square] = table[square::square].translate(_SQUARE)
-        else:
-            table[p::p] = bytes(x // p)
+    long = x // (_CHUNK + 1)  # the primes with more than a chunk of multiples
+    for run in _runs(0, x // top + 1, 1):
+        for p in compress(range(run.start, run.stop), table[run].translate(_UNWALKED)):
+            if p <= long:
+                _step_in_runs(table, p)
+            elif table[p] == 4:  # each run is one slice: _step_in_runs's, without its calls
+                table[2 * p :: p] = table[2 * p :: p].translate(_FLIP)
+                square = p * p
+                if square <= x:
+                    table[square::square] = table[square::square].translate(_SQUARE)
+            else:
+                table[p::p] = bytearray(x // p)
     for k in range(1, top):
-        start, stop = (x // (k + 1) + 1) | 1, x // k + 1
-        for a in range(start, stop, 2 * _BAND_CHUNK):
-            b = min(a + 2 * _BAND_CHUNK, stop)
+        for run in _runs((x // (k + 1) + 1) | 1, x // k + 1, 2):
+            a, b = run.start, run.stop
             size = len(range(a, b, 2))
-            action = (int.from_bytes(primes[a:b:2], "little") << 4) - (
-                int.from_bytes(table[a:b:2].translate(_GENERATOR), "little") << 3
-            )
+            action = int.from_bytes(table[run].translate(_ACTION), "little")
             for j in range(1, k + 1):
                 codes = slice(j * a, j * b, 2 * j)
                 total = int.from_bytes(table[codes], "little") + action
@@ -188,74 +198,101 @@ def _code_table(primes: bytearray, members: bytearray, x: int) -> bytearray:
     return table
 
 
+def _step_in_runs(table: bytearray, p: int) -> None:
+    """_code_table's step for a prime p whose multiples outnumber a chunk,
+    taken a run of at most _CHUNK of them at a time."""
+    if table[p] == 4:
+        _translate(table, _FLIP, 2 * p, p)
+        _translate(table, _SQUARE, p * p, p * p)  # empty if p * p is past the table
+    else:
+        _zero(table, p, p)
+
+
 def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
     """The code table of <P> up to x."""
     check_enum_limit(x)
-    primes = _prime_flags(x)
-    return _code_table(primes, _select(spec, primes), x)
-
-
-def _member_primes(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
-    """The prime flags up to x and the members of P up to x as one array."""
-    check_enum_limit(x)
-    primes = _prime_flags(x)
-    return primes, array("I", _flagged_primes(_select(spec, primes)))
+    return _code_table(_member_marks(spec, x), x)
 
 
 def code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:
     """The membership flags of <P'> up to x, then the code table of <P>, from
     one membership pass, each built when asked for.  <P'> is the n >= 1 that
-    no member prime divides, so its flags are sieved from the members alone
-    and share no builder with <P>.  The members wait as an array, not flags."""
-    primes, members = _member_primes(spec, x)
+    no member prime divides, so its flags are sieved from the members alone,
+    held as an array, and share no builder with <P>, whose table is then
+    built on the marks."""
+    check_enum_limit(x)
+    marks = _member_marks(spec, x)
+    members = array("I", _coded_primes(marks, _MEMBER))
     outside = bytearray(b"\x01") * (x + 1)
     outside[0] = 0
     for p in members:
-        outside[p::p] = bytearray(x // p)
+        if x // p > _CHUNK:
+            _zero(outside, p, p)
+        else:  # one run: the slice _zero would take, without its call
+            outside[p::p] = bytearray(x // p)
+    del members
     yield outside
     del outside  # gone before the table of <P> is built
-    yield _code_table(primes, _flagged(bytearray(x + 1), members), x)
+    yield _code_table(marks, x)
 
 
 def smooth_split(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
     """The code table up to x of the semigroup generated by the members up to
-    isqrt(x), and the members above it, ascending, from one membership pass.
-    The smooth flags are new: _select may have returned the prime flags."""
-    primes, members = _member_primes(spec, x)
-    k = bisect_right(members, math.isqrt(x))
-    table = _code_table(primes, _flagged(bytearray(x + 1), islice(members, k)), x)
-    del members[:k]
-    return table, members
-
-
-def _flagged(flags: bytearray, positions: Iterable[int]) -> bytearray:
-    """``flags`` with flags[p] = 1 for each p in ``positions``."""
-    for p in positions:
-        flags[p] = 1
-    return flags
-
-
-def _columns(table: bytearray, x: int, mask: bytearray) -> tuple[Iterator[int], Iterator[int]]:
-    """The n <= x flagged in ``mask`` and their mu(n), ascending, at C speed."""
-    return compress(range(x + 1), mask), map(_MU.__getitem__, compress(table, mask))
+    isqrt(x), and the members above it, ascending, from one membership pass:
+    the members above isqrt(x) are read off the marks, then marked as other
+    primes."""
+    check_enum_limit(x)
+    marks = _member_marks(spec, x)
+    root = math.isqrt(x)
+    members = array("I", _coded_primes(marks, _MEMBER))
+    del members[: bisect_right(members, root)]
+    _translate(marks, _PRIME, root + 1)
+    return _code_table(marks, x), members
 
 
 def table_terms(table: bytearray, x: int, squarefree_only: bool) -> Iterator[tuple[int, int]]:
     """(n, mu(n)) for the members n <= x of a code table, ascending; with
-    squarefree_only, the mu == 0 members are left out."""
-    return zip(*_columns(table, x, table.translate(_SQUAREFREE) if squarefree_only else table))
+    squarefree_only, the mu == 0 members are left out.  The table is read a
+    run at a time."""
+    codes = _SQUAREFREE if squarefree_only else _MEMBERS
+    if x < _CHUNK:  # one run, read without a chain around it
+        return _run_terms(table, slice(0, x + 1), codes)
+    return chain.from_iterable(_run_terms(table, run, codes) for run in _runs(0, x + 1, 1))
+
+
+def _run_terms(table: bytearray, run: slice, codes: bytes) -> Iterator[tuple[int, int]]:
+    """(n, mu(n)) for the n of one run whose code ``codes`` maps to 1."""
+    segment = table[run]
+    mask = segment.translate(codes)
+    mus = map(_MU.__getitem__, compress(segment, mask))
+    return zip(compress(range(run.start, run.stop), mask), mus)
+
+
+def _signed_runs(table: bytearray, start: int, stop: int) -> Iterator[tuple[range, bytearray]]:
+    """For each run of the table from start to stop: its n, and a mask that
+    holds mu(n) as a signed byte, so it selects the squarefree members."""
+    for run in _runs(start, stop, 1):
+        yield range(run.start, run.stop), table[run].translate(_SIGNED_MU)
+
+
+def _signs(signed: bytearray) -> Iterator[int]:
+    """The nonzero mu(n) of a signed mask, as ints."""
+    return compress(memoryview(signed).cast("b"), signed)
 
 
 def table_squarefree(table: bytearray, x: int) -> tuple[int, Iterator[int], Iterator[int]]:
     """The number of squarefree members n <= x of a code table, then the
-    columns of those n and of their mu(n), ascending."""
-    mask = table.translate(_SQUAREFREE)
-    return (mask.count(1, 0, x + 1), *_columns(table, x, mask))
+    columns of those n and of their mu(n), ascending; each column reads the
+    table a run at a time."""
+    count = sum(table.count(code, 0, x + 1) for code in (1, 2, 4))
+    ns = starmap(compress, _signed_runs(table, 0, x + 1))
+    mus = (_signs(signed) for _, signed in _signed_runs(table, 0, x + 1))
+    return count, chain.from_iterable(ns), chain.from_iterable(mus)
 
 
 def table_primes(table: bytearray, x: int) -> Iterator[int]:
     """The generating primes p <= x of a code table, ascending."""
-    return compress(range(x + 1), table.translate(_GENERATOR))
+    return _coded_primes(table, _GENERATOR, x + 1)
 
 
 def _mobius_total(table: bytearray, start: int, stop: int) -> int:
@@ -275,12 +312,11 @@ def table_tallies(table: bytearray, grid: Iterable[int]) -> Iterator[tuple[int, 
 
 
 def _quotients(table: bytearray, start: int, stop: int, extra: tuple) -> Iterator[float]:
-    """mu(n) / n for the squarefree members start <= n < stop, then ``extra``:
-    one mask holds mu(n) as a signed byte and selects the n it is nonzero at."""
-    segment = table if start == 0 and stop == len(table) else table[start:stop]
-    mus = segment.translate(_SIGNED_MU)
-    signs = compress(memoryview(mus).cast("b"), mus)
-    return chain(map(truediv, signs, compress(range(start, stop), mus)), extra)
+    """mu(n) / n for the squarefree members start <= n < stop, then
+    ``extra``."""
+    runs = (map(truediv, _signs(signed), compress(ns, signed))
+            for ns, signed in _signed_runs(table, start, stop))
+    return chain.from_iterable(chain(runs, (extra,)))
 
 
 def table_fsums(table: bytearray, grid: Sequence[int]) -> Iterator[tuple[float, int]]:
@@ -317,7 +353,7 @@ def table_floor_sum(table: bytearray, x: int) -> int:
     1996).
     """
     s = math.isqrt(x)
-    total = sum(mu * (x // n) for n, mu in table_terms(table[: s + 1], s, True))
+    total = sum(mu * (x // n) for n, mu in table_terms(table, s, True))
     for q in range(1, x // (s + 1) + 1):
         total += q * _mobius_total(table, max(s, x // (q + 1)) + 1, x // q + 1)
     return total

@@ -57,7 +57,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, UsageError
 from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
-from .primes import primes_in
+from .primes import member_primes
 from .semigroup import _distinct_prime_factors, _heap_stream, check_enum_limit, code_tables
 from .semigroup import member_table, mobius, smooth_split, squarefree_terms, table_floor_sum
 from .semigroup import table_fsums, table_primes, table_squarefree, table_tallies, table_terms
@@ -315,7 +315,7 @@ def euler_product_partial(spec: PrimeSetSpec, prime_limit: int) -> float:
     if prime_limit < 0:
         raise DomainError(f"prime limit must be >= 0, got {prime_limit}")
     result = 1.0
-    for p in primes_in(spec, prime_limit):
+    for p in member_primes(spec, prime_limit):
         result *= 1.0 - 1.0 / p
     return result
 

@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .primes import FinitePrimes, LogFracPrimes, PrimeSetSpec, _mp_context, primes_in
+from .primes import FinitePrimes, LogFracPrimes, PrimeSetSpec, _mp_context, member_primes, primes_in
 
 # Working precision (binary digits) of the reference phase reduction.  At
 # 96 bits, ln p, its product with t, 2*pi and the reduced value each carry a
@@ -265,8 +265,8 @@ def log_identity_residual(spec: PrimeSetSpec, sigma: float, prime_limit: int) ->
     _require_right_of_one(sigma)
     _require_finite("sigma", sigma)
     _require_prime_limit(prime_limit)
-    members = primes_in(spec, prime_limit)
-    return math.fsum(-math.log1p(-(p ** -sigma)) - p ** -sigma for p in members)
+    powers = (p ** -sigma for p in member_primes(spec, prime_limit))
+    return math.fsum(-math.log1p(-z) - z for z in powers)
 
 
 def pathological_set(t: float, width: float, shift: float) -> LogFracPrimes:

@@ -40,6 +40,20 @@ def odd_wheel_sieve(limit: int) -> list[int]:
     return [2] + [2 * i + 3 for i in range(size) if flags[i]]
 
 
+def plain_sieve_flags(limit: int) -> bytearray:
+    """flags[n] = 1 if n is prime else 0, for 0 <= n <= limit: the textbook
+    sieve, one Python step per crossed-out multiple and no slice
+    assignment."""
+    flags = bytearray(limit + 1)
+    for n in range(2, limit + 1):
+        flags[n] = 1
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            for m in range(p * p, limit + 1, p):
+                flags[m] = 0
+    return flags
+
+
 def factorize(n: int) -> dict[int, int]:
     """Trial-division factorisation, exponents included."""
     out: dict[int, int] = {}

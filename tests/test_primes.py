@@ -24,13 +24,34 @@ from musum.primes import (
     render_spec,
     sieve_primes,
 )
-from musum.primes import _flagged_primes, _logfrac_flags, _prime_flags
-from musum.semigroup import _member_primes
+from musum import primes as primes_module
+from musum.primes import _MEMBER, _PRIME, _coded_primes, _logfrac_marks, _member_marks, _prime_flags
 
-from oracles import odd_wheel_sieve, trial_division_primes
+from oracles import odd_wheel_sieve, plain_sieve_flags, trial_division_primes
 
 
 class TestSievePrimes:
+    def test_flags_match_the_plain_sieve_across_chunk_edges(self, monkeypatch):
+        # Chunks of 1 to 3 cut every run of multiples into many; 10**6 also
+        # runs at the real chunk.
+        for limit in range(2001):
+            monkeypatch.setattr(primes_module, "_CHUNK", 1 + limit % 3)
+            assert _prime_flags(limit) == plain_sieve_flags(limit), limit
+        want = plain_sieve_flags(10**6)
+        assert _prime_flags(10**6) == want
+        monkeypatch.setattr(primes_module, "_CHUNK", 3)
+        assert _prime_flags(10**6) == want
+
+    def test_flags_take_one_allocation(self):
+        limit = 10**6
+        tracemalloc.start()
+        try:
+            _prime_flags(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * limit
+
     def test_no_primes_below_two(self):
         assert sieve_primes(1).primes == ()
         assert sieve_primes(0).primes == ()
@@ -144,9 +165,9 @@ def test_odd_only_listing_matches_compress_over_every_n(spec):
     for limit in [*range(2001), 10**6]:
         flags = member_flags(spec, limit)
         want = list(compress(range(limit + 1), flags))
-        assert list(_flagged_primes(flags)) == want, limit
+        assert list(_coded_primes(flags, _PRIME)) == want, limit
         assert primes_in(spec, limit) == want, limit
-        assert _member_primes(spec, limit)[1].tolist() == want, limit
+        assert list(_coded_primes(_member_marks(spec, limit), _MEMBER)) == want, limit
         if isinstance(spec, AllPrimes):
             assert sieve_primes(limit).primes == tuple(want), limit
 
@@ -366,7 +387,8 @@ def test_logfrac_decisions_identical_up_to_one_million():
     total_fallbacks = 0
     for (t, width, shift), placed in zip(_IDENTITY_GRID, _PLACED + [None] * 3):
         spec = LogFracPrimes(t, width, shift)
-        flags, fallbacks = _logfrac_flags(spec, primes)
+        marks = bytearray(primes)
+        fallbacks = _logfrac_marks(spec, marks)
         wnum, wden = width.as_integer_ratio()
         boundary = (wnum << _REF_BITS) // wden
         for p, dist in zip(plist, _ref_distances(t, shift, logs)):
@@ -374,7 +396,7 @@ def test_logfrac_decisions_identical_up_to_one_million():
                 want = dist <= boundary
             else:
                 want = is_member(spec, p)
-            assert flags[p] == want, (spec, p)
+            assert (marks[p] == 2) == want, (spec, p)
             if placed is not None and p == placed[2]:
                 assert abs(dist - boundary) < 1e-15 * _REF_ONE
         if placed is not None:

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from itertools import compress
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -22,14 +23,14 @@ from musum.primes import (
     LogFracPrimes,
     ResiduePrimes,
     _prime_flags,
-    _select,
     is_member,
+    member_flags,
     primes_in,
 )
 from musum.semigroup import (
     _FLIP,
+    _MU,
     _SQUARE,
-    _START,
     EnumerationOptions,
     _code_table,
     code_tables,
@@ -40,6 +41,7 @@ from musum.semigroup import (
     member_table,
     mobius,
     smooth_split,
+    table_fsums,
     table_primes,
 )
 from musum.sums import EXACT_CEILING, partial_sum, zorn_check
@@ -269,14 +271,11 @@ class TestCodeTableAgainstOracle:
 
 def _replaced_complement_table(spec, x):
     """The code table of <P'> that code_tables built before its flags were
-    sieved from the member primes: the prime flags minus the members, run
-    through _code_table."""
+    sieved from the member primes: the primes that are not members, marked
+    as the members of P', run through _code_table."""
     primes = _prime_flags(x)
-    members = list(compress(range(x + 1), _select(spec, primes)))
-    complement = bytearray(primes)
-    for p in members:
-        complement[p] = 0
-    return _code_table(primes, complement, x)
+    complement = map(sub, primes, member_flags(spec, x))
+    return _code_table(bytearray(map(add, primes, complement)), x)
 
 
 _NONZERO = bytes(1) + bytes([1]) * 255
@@ -292,10 +291,16 @@ def test_complement_flags_match_the_replaced_code_table(index):
             assert zorn_check(spec, x).equal, x
 
 
+# Member flags to start codes, as the per-prime walk took them: 4 at a
+# member prime, 1 everywhere else.
+_FLAG_START = bytes((1, 4)) + bytes(254)
+
+
 def _per_prime_code_table(primes, members, x):
     """The code table as _code_table built it before the large primes were
-    walked in bands: one slice step for every prime up to x."""
-    table = members.translate(_START)
+    walked in bands and before prime flags, member flags and table shared
+    one array: one slice step for every prime up to x, each run whole."""
+    table = members.translate(_FLAG_START)
     table[0] = 0
     for p in compress(range(x + 1), primes):
         if table[p] == 4:
@@ -308,37 +313,73 @@ def _per_prime_code_table(primes, members, x):
     return table
 
 
+def _assert_every_route_matches_the_per_prime_walk(spec, x):
+    primes = _prime_flags(x)
+    members = member_flags(spec, x)
+    want = _per_prime_code_table(primes, members, x)
+    assert member_table(spec, x) == want, x
+    outside, table = code_tables(spec, x)
+    complement = bytearray(map(sub, primes, members))
+    assert outside == _per_prime_code_table(primes, complement, x).translate(_NONZERO), x
+    assert table == want, x
+    root = math.isqrt(x)
+    smooth = _per_prime_code_table(primes, members[: root + 1] + bytes(x - root), x)
+    table, large = smooth_split(spec, x)
+    assert table == smooth, x
+    assert large.tolist() == list(compress(range(root + 1, x + 1), members[root + 1 :])), x
+
+
 @pytest.mark.parametrize("index", range(len(SPEC_FORMS)))
 def test_every_table_route_matches_the_per_prime_walk(index):
     spec = SPEC_FORMS[index][0]
     # x where the band x/2 < p <= x holds one or two chunks of odd n, or one
     # odd n more.
-    chunk = semigroup_module._BAND_CHUNK
+    chunk = primes_module._CHUNK
     edges = [4 * chunk * m + d for m in (1, 2) for d in (-1, 0, 1, 2)]
     band_one = {len(range((x // 2 + 1) | 1, x + 1, 2)) for x in edges}
     assert band_one == {chunk, chunk + 1, 2 * chunk, 2 * chunk + 1}
     for x in [*range(2001), *edges, 10**6]:
-        primes = _prime_flags(x)
-        members = _select(spec, primes)
-        want = _per_prime_code_table(primes, members, x)
-        assert member_table(spec, x) == want, x
-        assert list(code_tables(spec, x))[1] == want, x
-        root = math.isqrt(x)
-        smooth = _per_prime_code_table(primes, members[: root + 1] + bytes(x - root), x)
-        assert smooth_split(spec, x)[0] == smooth, x
+        _assert_every_route_matches_the_per_prime_walk(spec, x)
+
+
+def _set_chunk(monkeypatch, chunk):
+    """Every musum module that reads the chunk reads ``chunk``."""
+    for module in (primes_module, semigroup_module):
+        monkeypatch.setattr(module, "_CHUNK", chunk)
 
 
 @pytest.mark.parametrize("index", range(len(SPEC_FORMS)))
-def test_bands_cut_into_short_chunks_match_the_per_prime_walk(index, monkeypatch):
-    # Chunks of 1 to 3 odd n put chunk edges all through every band; bands
-    # start at x = 256.
+def test_short_chunks_match_the_per_prime_walk(index, monkeypatch):
+    # Chunks of 1 to 3 n put chunk edges all through the sieve, the marks,
+    # the walk's runs of multiples and every band (bands start at x = 256).
     spec = SPEC_FORMS[index][0]
-    for x in range(256, 2001, 7):
-        chunk = 1 + x % 3
-        monkeypatch.setattr(semigroup_module, "_BAND_CHUNK", chunk)
-        primes = _prime_flags(x)
-        members = _select(spec, primes)
-        assert member_table(spec, x) == _per_prime_code_table(primes, members, x), (chunk, x)
+    for x in [*range(64), *range(64, 2001, 7)]:
+        _set_chunk(monkeypatch, 1 + x % 3)
+        _assert_every_route_matches_the_per_prime_walk(spec, x)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, primes_module._CHUNK])
+def test_float_sums_across_chunk_edges_match_one_fsum(chunk, monkeypatch):
+    # table_fsums reads each segment between grid points in runs of a chunk,
+    # so the segments here are a chunk long, one n shorter or longer, or two
+    # chunks; every sum must have the bits of one fsum over the table's own
+    # quotients, each taken term by term.
+    x = 2000 if chunk <= 3 else 8 * chunk
+    table = member_table(CofinitePrimes((3,)), x)
+    quotients = [_MU[code] / n for n, code in enumerate(table) if code in (1, 2, 4)]
+    counts = [0]
+    for code in table[1:]:
+        counts.append(counts[-1] + (code in (1, 2, 4)))
+    lengths = [n for n in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 1) if n]
+    grid, stop = [], 0
+    while stop + lengths[len(grid) % len(lengths)] <= x + 1:
+        stop += lengths[len(grid) % len(lengths)]
+        grid.append(stop - 1)
+    grid.append(x)
+    _set_chunk(monkeypatch, chunk)
+    got = list(table_fsums(table, grid))
+    want = [(math.fsum(quotients[: counts[g]]).hex(), counts[g]) for g in grid]
+    assert [(value.hex(), count) for value, count in got] == want
 
 
 _EIGHT = FinitePrimes((2, 3, 5, 7, 11, 13, 17, 19))
@@ -364,22 +405,22 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
 
 # The peak bytes per n of x that the MAX_ENUM_LIMIT comment states for each
 # route, plus 4 bytes per member prime where code_tables or smooth_split
-# keeps the members as one array, plus the few KB of Python objects any call
-# holds.  The exact sum runs at its own ceiling, with a byte per n to spare
-# for its integers.
+# keeps the members as one array, plus the few KB of Python objects and
+# chunks any call holds.  The exact sum runs at its own ceiling, with 0.4
+# bytes per n to spare for its integers.
 # The set is 1 mod 4, and all for a second member_table case, in which every
 # chunk of every band holds member primes.
 @pytest.mark.parametrize(
     "route, spec, x, per_n, per_member",
     [
-        (member_table, ResiduePrimes(1, 4), 10**6, 3, 0),
-        (member_table, AllPrimes(), 10**6, 3, 0),
-        (count_members_outside, ResiduePrimes(1, 4), 10**6, 2.5, 4),
-        (zorn_check, ResiduePrimes(1, 4), 10**6, 3, 4),
-        (lambda spec, x: convergence_table(spec, [x]), ResiduePrimes(1, 4), 10**6, 3, 0),
-        (lambda spec, x: gran_residual(spec, [x]), ResiduePrimes(1, 4), 10**6, 4, 4),
-        (partial_sum, ResiduePrimes(1, 4), EXACT_CEILING, 4, 4),
-        (lambda spec, x: partial_sum(spec, x, "float"), ResiduePrimes(1, 4), 10**6, 3, 0),
+        (member_table, ResiduePrimes(1, 4), 10**6, 1.25, 0),
+        (member_table, AllPrimes(), 10**6, 1.25, 0),
+        (count_members_outside, ResiduePrimes(1, 4), 10**6, 2, 4),
+        (zorn_check, ResiduePrimes(1, 4), 10**6, 2, 4),
+        (lambda spec, x: convergence_table(spec, [x]), ResiduePrimes(1, 4), 10**6, 1.25, 0),
+        (lambda spec, x: gran_residual(spec, [x]), ResiduePrimes(1, 4), 10**6, 2, 4),
+        (partial_sum, ResiduePrimes(1, 4), EXACT_CEILING, 1.4, 4),
+        (lambda spec, x: partial_sum(spec, x, "float"), ResiduePrimes(1, 4), 10**6, 1.25, 0),
     ],
     ids=["member_table", "member_table_all", "count_members_outside", "zorn_check",
          "convergence_table", "gran_residual", "partial_sum", "partial_sum_float"],
@@ -406,26 +447,29 @@ def test_table_routes_stay_within_their_stated_memory(route, spec, x, per_n, per
     ],
     ids=["zorn_check", "gran_residual", "convergence_table", "mertens_window", "partial_sum"],
 )
-def test_table_routes_select_members_once(route, monkeypatch):
+def test_table_routes_mark_members_once(route, monkeypatch):
     calls = []
 
     def counted(spec, flags):
         calls.append(spec)
-        return select(spec, flags)
+        return mark(spec, flags)
 
-    select = primes_module._select
+    mark = primes_module._mark_members
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("musum") and (
-            getattr(module, "_select", None) is select
+            getattr(module, "_mark_members", None) is mark
         ):
-            monkeypatch.setattr(module, "_select", counted)
+            monkeypatch.setattr(module, "_mark_members", counted)
     route()
     assert len(calls) == 1
 
 
-# Selection, flags and table building stay behind semigroup: the sums and
+# Sieving, marking and table building stay behind semigroup: the sums and
 # the experiments read tables, they do not build them.
-_TABLE_INTERNALS = {"_prime_flags", "_select", "_code_table", "_flagged", "_member_primes"}
+_TABLE_INTERNALS = {
+    "_prime_flags", "_mark_members", "_member_marks", "_coded_primes", "_runs", "_translate",
+    "_zero", "_code_table",
+}
 
 
 @pytest.mark.parametrize("name", ["sums.py", "experiments.py"])

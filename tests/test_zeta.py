@@ -5,8 +5,9 @@ import mpmath
 import pytest
 
 from musum.errors import DomainError
-from musum.primes import AllPrimes, CofinitePrimes, FinitePrimes, LogFracPrimes, is_member
-from musum.primes import _mp_context, primes_in
+from musum.primes import AllPrimes, CofinitePrimes, FinitePrimes, LogFracPrimes, ResiduePrimes
+from musum.primes import _mp_context, is_member, primes_in
+from musum.sums import euler_product_partial
 from musum.zeta import (
     ScanRow,
     blowup_scan,
@@ -123,6 +124,22 @@ class TestLogIdentityResidual:
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
             log_identity_residual(AllPrimes(), 1.0, 100)
+
+    @pytest.mark.parametrize("limit", [10**3, 10**5])
+    @pytest.mark.parametrize("spec", [AllPrimes(), ResiduePrimes(1, 4), FinitePrimes((2, 3, 5))],
+                             ids=["all", "residue", "finite"])
+    def test_streamed_members_keep_the_bits_of_the_listed_ones(self, spec, limit):
+        # The residual and the truncated Euler product iterate the members
+        # and take p ** -sigma once per prime; the expressions they replace
+        # listed the members first and took the power twice.
+        members = primes_in(spec, limit)
+        product = 1.0
+        for p in members:
+            product *= 1.0 - 1.0 / p
+        assert euler_product_partial(spec, limit).hex() == product.hex()
+        for sigma in (1.05, 1.5, 2.0):
+            listed = math.fsum(-math.log1p(-(p ** -sigma)) - p ** -sigma for p in members)
+            assert log_identity_residual(spec, sigma, limit).hex() == listed.hex(), sigma
 
 
 class TestPathologicalFamilies:
