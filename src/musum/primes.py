@@ -24,15 +24,20 @@ The textual grammar (used by the CLI ``--set`` argument) is::
 Membership of every prime up to a limit is decided in one pass over one
 array of a byte per n: the sieve flags each prime with 1, and
 ``_mark_members`` turns the 1 of each member into a 2 in place.  The five
-arithmetic forms mark by slice translations.  Log-fraction membership is
-decided in double precision wherever the distance to the width boundary
+arithmetic forms mark by slice translations.  A log-fraction set up to L is
+the union of about |t|*ln(L)/(2*pi) + 1 intervals of p, one per integer
+that t*ln(p)/(2*pi) - shift comes within the width of, and these are
+marked by slice translations too.  Only the primes in a window around an
+endpoint, of proved relative width (see _LOGFRAC_WINDOW), are decided one
+at a time: in double precision wherever the distance to the width boundary
 exceeds a generous bound on the rounding error, and by the
-extended-precision test of ``is_member`` inside that band, so both routes
-make the same decision for every prime.  ``member_flags`` reads 0/1 flags
-off the marks and ``member_primes`` the members themselves; the code table
-of ``semigroup`` is built on the same array.  Every strided or long run of
-the array is read and written _CHUNK entries at a time, so no temporary
-grows with the limit.
+extended-precision test of ``is_member`` inside that band, so every route
+makes the same decision for every prime.  When the intervals would cost
+more than that walk over every prime, every prime takes it.
+``member_flags`` reads 0/1 flags off the marks and ``member_primes`` the
+members themselves; the code table of ``semigroup`` is built on the same
+array.  Every strided or long run of the array is read and written _CHUNK
+entries at a time, so no temporary grows with the limit.
 """
 
 from __future__ import annotations
@@ -77,6 +82,26 @@ LOGFRAC_PRECISION_BITS = 96
 # 2**-30 * (1 + |y|) away from the width, the double decision is the
 # reference decision; inside that band the reference test decides.
 _LOGFRAC_BAND = 2.0**-30
+
+# Interval marks.  The walk's gap, the distance from y = t*ln(p)/(2*pi) -
+# shift to the nearest integer less the width, is in magnitude the distance
+# from u(p) to the nearest endpoint c of the member intervals (see
+# _logfrac_marks), and negative inside them.  The walk runs on the primes
+# that the window of an endpoint holds, and that window holds every p with
+# |u(p) - c| <= _LOGFRAC_WINDOW * (2 + |c|).  Half of that margin,
+# 2**-29 * (2 + |c|), takes in every prime that the filter sends to the
+# reference: there |y| <= |c| + 1 + margin, and the band
+# 2**-30 * (1 + |y|) plus the double error of y fits inside it.  So every
+# prime outside the windows takes the double decision in the walk, which is
+# the exact one, and lies strictly on one side of every endpoint, so the
+# interval marks give it the same decision.  The other half covers the
+# doubles that place the window: c = k + shift -+ width, within
+# 2**-51 * (1 + |c|); c -+ margin; its product with 2*pi/|t|, within
+# 2**-51 relatively; and exp, within an ulp, which is within 2**-51 * u(p)
+# for p >= 2.  Together they stay below 2**-48 * (2 + |c|).  floor and
+# ceil then round the window out to integers.  A window wholly below 2
+# holds no prime, and one that errs past 2 only walks more primes.
+_LOGFRAC_WINDOW = 2.0**-28
 
 # The prime bases 2..41 admit no strong pseudoprime below MR_PROVEN_BOUND
 # (OEIS A014233); 2..37 admit 318665857834031151167461 = 399165290221 * 798330580441.
@@ -188,16 +213,17 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
-def _coded_primes(array: bytearray, codes: bytes, stop: int | None = None) -> Iterator[int]:
-    """The primes p < stop (by default, all of the array) whose entry
-    ``codes`` maps to nonzero, ascending: 2 if it is one, then the odd p a
-    run at a time.  Each run is translated only when the walk reaches it, so
-    a caller may change the entries of composites ahead of the walk, and of
-    each prime at its turn."""
+def _coded_primes(array: bytearray, codes: bytes, stop: int | None = None,
+                  start: int = 0) -> Iterator[int]:
+    """The primes start <= p < stop (by default, all of the array) whose
+    entry ``codes`` maps to nonzero, ascending: 2 if it is one, then the odd
+    p a run at a time.  Each run is translated only when the walk reaches
+    it, so a caller may change the entries of composites ahead of the walk,
+    and of each prime at its turn."""
     stop = len(array) if stop is None else stop
-    head = (2,) if stop > 2 and codes[array[2]] else ()
+    head = (2,) if start <= 2 < stop and codes[array[2]] else ()
     odd = (compress(range(run.start, run.stop, 2), array[run].translate(codes))
-           for run in _runs(3, stop, 2))
+           for run in _runs(max(start | 1, 3), stop, 2))
     return chain.from_iterable(chain((head,), odd))
 
 
@@ -340,12 +366,15 @@ def is_member(spec: PrimeSetSpec, p: int) -> bool:
 
 def member_flags(spec: PrimeSetSpec, limit: int) -> bytearray:
     """flags[n] = 1 if n is a member of the set else 0, for 0 <= n <= limit,
-    read off the marks in place.
+    read off the marks in place (for every prime, the sieve flags as they
+    are).
 
     Raises DomainError below 0 and ResourceError above MAX_SIEVE_LIMIT, for
     every form.
     """
     _check_sieve_limit(limit)
+    if isinstance(spec, AllPrimes):
+        return _prime_flags(limit)
     flags = _member_marks(spec, limit)
     _translate(flags, _MEMBER)
     return flags
@@ -390,14 +419,79 @@ def _mark_members(spec: PrimeSetSpec, flags: bytearray) -> bytearray:
 def _logfrac_marks(spec: LogFracPrimes, flags: bytearray) -> int:
     """Marks the members of a log-fraction set among the primes flagged 1 in
     ``flags`` with 2, in place; returns the number of primes the reference
-    test had to decide (see _LOGFRAC_BAND)."""
+    test had to decide (see _LOGFRAC_BAND).
+
+    The members are the primes p whose u(p) = |t|*ln(p)/(2*pi) lies in
+    [z - width, z + width] for z = k + shift (k - shift when t < 0) and some
+    integer k.  These intervals of p are marked by slice translation, and
+    the walk runs only in the window of each endpoint (see _LOGFRAC_WINDOW),
+    so that the marks and the count are the walk's.  When the intervals, at
+    about four walk steps each, would cost more than the walk over the
+    primes, counted as limit / ln(limit) (a lower bound from 17 up), every
+    prime takes the walk instead."""
+    limit = len(flags) - 1
+    if limit < 2:
+        return 0
+    to_u = abs(spec.t) / (2.0 * math.pi)
+    centre = spec.shift if spec.t > 0.0 else -spec.shift
+    width = spec.width
+    # u(2) > z_(first - 1) + width + 1 and u(limit) < z_last - width - 1.
+    first = math.floor(to_u * math.log(2) - centre - width) - 1
+    last = math.ceil(to_u * math.log(limit) - centre + width) + 1
+    # Per interval: two windows, their sort and a translation.
+    if 4 * (last - first + 1) > limit / math.log(limit):
+        return _logfrac_walk(spec, flags, _coded_primes(flags, _PRIME))
+    to_log = 2.0 * math.pi / abs(spec.t)  # ln p = u * to_log; inf for tiny |t|
+    exp, floor, ceil = math.exp, math.floor, math.ceil
+    past = limit + 1  # stands for any p past the limit; exp(40) is past them all
+    windows = []
+    for k in range(first, last + 1):
+        z = k + centre
+        for end in (z - width, z + width):
+            margin = _LOGFRAC_WINDOW * (2.0 + abs(end))
+            low, high = end - margin, end + margin
+            ln_low, ln_high = low * to_log, high * to_log
+            windows.append((0 if low <= 0.0 else floor(exp(ln_low)) if ln_low < 40.0 else past,
+                            0 if high <= 0.0 else ceil(exp(ln_high)) if ln_high < 40.0 else past))
+    # In ascending order of their starts, the n below a window that no
+    # earlier window holds lie past as many endpoints as there are earlier
+    # windows: inside an interval after an odd number, outside after an
+    # even one.
+    windows.sort()
+    fallbacks = 0
+    start = 2  # every n < start is decided
+    inside = False
+    for low, high in windows:
+        if low > limit:
+            break
+        if low > start:
+            if inside:
+                _translate(flags, _MARK, start, 1, low)
+        else:
+            low = start
+        if high > limit:
+            high = limit
+        if low <= high and flags.find(1, low, high + 1) >= 0:
+            fallbacks += _logfrac_walk(spec, flags, _coded_primes(flags, _PRIME, high + 1, low))
+        if high >= start:
+            start = high + 1
+        inside = not inside
+    if inside and start <= limit:
+        _translate(flags, _MARK, start, 1, limit + 1)
+    return fallbacks
+
+
+def _logfrac_walk(spec: LogFracPrimes, flags: bytearray, primes: Iterator[int]) -> int:
+    """Marks each of ``primes`` (flagged 1) that is a member with 2, by the
+    double filter and inside its band by the reference test; returns the
+    number of primes the reference decided."""
     scale = spec.t / (2.0 * math.pi)
     shift = spec.shift
     width = spec.width
     log = math.log
     floor = math.floor
     fallbacks = 0
-    for p in _coded_primes(flags, _PRIME):
+    for p in primes:
         y = scale * log(p) - shift
         frac = y - floor(y)
         gap = (frac if frac <= 0.5 else 1.0 - frac) - width

@@ -24,6 +24,16 @@ correctly rounded double only when no value inside the band rounds
 differently or wraps past 0 or 2*pi.  Every other prime goes to the
 reference (Ziv's scheme for correct rounding).
 
+On the real axis (Im(s) = 0, of either sign) every phase is 0.0, and each
+factor of the complex loop comes out as exactly (1 - p**-sigma, +0.0):
+exp(-1j * 0.0) is (1.0, -0.0), and multiplying it by p**-sigma and
+subtracting from 1.0 leaves the imaginary part +0.0.  CPython divides
+complex numbers by Smith's method, which for a divisor with zero imaginary
+part divides the real part by the real divisor and keeps the imaginary
+part at +0.0.  So ``zeta_p`` there reduces the doubles 1 - p**-sigma with
+float division at C speed, straight off the member iterator, and gets the
+bits of the complex loop.
+
 ``blowup_scan`` drives this along s = 1 + eps + i*t for descending eps over
 the log-fraction prime families: the shift-0 family has every factor's
 modulus strictly increasing as eps decreases (the phases cluster near 0), so
@@ -45,7 +55,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub, truediv
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .primes import FinitePrimes, LogFracPrimes, PrimeSetSpec, _mp_context, member_primes, primes_in
@@ -60,14 +74,18 @@ _PHASE_PRECISION_BITS = 96
 # Fixed-point phases: ln p, ln 2 and 2*pi are integers scaled by
 # 2**_PHASE_FRAC_BITS, each within 2**-120 of its value, so the fast phase
 # is within |t| * 2**-119 of the exact one (ln p >= ln 2, and each of the
-# |t*ln p| / (2*pi) periods taken off is itself that close).  The band
-# 2**-_PHASE_BAND_BITS * (1 + |t*ln p|) is 2**13 times the reference's
-# error bound and far wider than the fast route's own, so it holds both the
-# exact value and the reference.  The correctly rounded double of the fast
-# phase is the reference's whenever both ends of the band round to the same
-# double and the band stays inside (0, 2*pi), where the reference cannot
-# wrap.  No accepted phase is below 2**-_PHASE_BAND_BITS, so subnormal
-# phases, which mpmath rounds twice, all take the reference.
+# |t*ln p| / (2*pi) periods taken off is itself that close).  Once a period
+# is taken off (t*ln p >= 2*pi, or t < 0), the band is
+# 2**-_PHASE_BAND_BITS * (1 + |t*ln p|): 2**13 times the reference's error
+# bound and far wider than the fast route's own.  For 0 < t*ln p < 2*pi
+# nothing is reduced: mpmath's mod returns its 96-bit product unchanged,
+# within 2**-94 of t*ln p relatively, and the fast phase is within 2**-119
+# relatively, so the band is 2**-_PHASE_BAND_BITS times the phase itself.
+# Either band holds both the exact value and the reference.  The correctly
+# rounded double of the fast phase is the reference's whenever both ends of
+# the band round to the same normal double and the band stays inside
+# (0, 2*pi), where the reference cannot wrap.  Subnormal phases, which
+# mpmath rounds twice, all take the reference.
 _PHASE_FRAC_BITS = 128
 _PHASE_BAND_BITS = 80
 # ln p = k*ln 2 + ln(top) + 2*atanh(z) for the _LOG_TOP_BITS leading bits
@@ -76,6 +94,7 @@ _PHASE_BAND_BITS = 80
 _LOG_TOP_BITS = 9
 _LOG_TOP_LOW = 1 << (_LOG_TOP_BITS - 1)
 _SERIES_GUARD_BITS = 64
+_SMALLEST_NORMAL = sys.float_info.min
 
 DEFAULT_PRIME_LIMIT = 10**6
 DEFAULT_PATHOLOGICAL_WIDTH = 0.1
@@ -194,19 +213,21 @@ def _reduced_phases(members: list[int], t: float) -> tuple[list[float], int]:
     scale = den << _PHASE_FRAC_BITS
     period = two_pi * den
     floor_band = den << (_PHASE_FRAC_BITS - _PHASE_BAND_BITS)
-    magnitude = abs(num)
     phases = []
     doubtful = []
     for i, p in enumerate(members):
-        log_p = _fixed_log(p, ln2, log_top)
-        r = num * log_p % period
-        band = floor_band + (magnitude * log_p >> _PHASE_BAND_BITS)
+        product = num * _fixed_log(p, ln2, log_top)
+        r = product % period
+        if r == product:  # 0 < t*ln p < 2*pi: a relative band
+            band = r >> _PHASE_BAND_BITS
+        else:
+            band = floor_band + (abs(product) >> _PHASE_BAND_BITS)
         if r < period - band:
             # int / int is correctly rounded, and rounding is monotone.  Up
             # to r = band the lower end rounds to 0.0 or below and the upper
             # end above it, so phases that small take the reference.
             low = (r - band) / scale
-            if low == (r + band) / scale:
+            if low == (r + band) / scale and low > _SMALLEST_NORMAL:
                 phases.append(low)
                 continue
         doubtful.append(i)
@@ -229,12 +250,17 @@ def _tail_bound(spec: PrimeSetSpec, sigma: float, prime_limit: int) -> float:
     return 2.0 * prime_limit ** (1.0 - sigma) / ((sigma - 1.0) * math.log(prime_limit))
 
 
-def _truncated_product(members: list[int], phases: list[float], sigma: float) -> complex:
-    """Product of (1 - p**-sigma * exp(-i*phase))**-1 over the members, in
-    ascending order."""
+def _unit_factors(phases: list[float]) -> Iterator[complex]:
+    """exp(-i*phase) for each phase: the factor p**-(i*t) of each member."""
+    return map(cmath.exp, map(mul, repeat(-1j), phases))
+
+
+def _truncated_product(members: list[int], units: Iterable[complex], sigma: float) -> complex:
+    """Product of (1 - p**-sigma * unit)**-1 over the members and their
+    unit factors, in ascending order."""
     value = complex(1.0, 0.0)
-    for p, phase in zip(members, phases):
-        value /= 1.0 - p ** -sigma * cmath.exp(-1j * phase)
+    for p, unit in zip(members, units):
+        value /= 1.0 - p ** -sigma * unit
     return value
 
 
@@ -245,11 +271,17 @@ def zeta_p(spec: PrimeSetSpec, s: complex, prime_limit: int) -> ZetaEval:
     _require_finite("Re(s)", s.real)
     _require_finite("Im(s)", s.imag)
     _require_prime_limit(prime_limit)
-    members = primes_in(spec, prime_limit)
+    if s.imag == 0.0:  # the real-axis product (module docstring), off the member iterator
+        powers = map(pow, member_primes(spec, prime_limit), repeat(-s.real))
+        value = complex(functools.reduce(truediv, map(sub, repeat(1.0), powers), 1.0), 0.0)
+    else:
+        members = primes_in(spec, prime_limit)
+        phases = _reduced_phases(members, s.imag)[0]
+        value = _truncated_product(members, _unit_factors(phases), s.real)
     return ZetaEval(
         s=s,
         prime_limit=prime_limit,
-        value=_truncated_product(members, _reduced_phases(members, s.imag)[0], s.real),
+        value=value,
         log_tail_bound=_tail_bound(spec, s.real, prime_limit),
     )
 
@@ -306,11 +338,11 @@ def blowup_scan(
     _require_prime_limit(prime_limit)
     spec = pathological_set(t, width, shift)
     members = primes_in(spec, prime_limit)
-    phases = _reduced_phases(members, t)[0]
+    units = list(_unit_factors(_reduced_phases(members, t)[0]))
     rows = []
     for eps in eps_list:
         sigma = 1.0 + eps
-        value = _truncated_product(members, phases, sigma)
+        value = _truncated_product(members, units, sigma)
         rows.append(
             ScanRow(
                 eps=eps,

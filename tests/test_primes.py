@@ -1,3 +1,4 @@
+import bisect
 import math
 import tracemalloc
 from itertools import compress
@@ -403,3 +404,116 @@ def test_logfrac_decisions_identical_up_to_one_million():
             assert fallbacks >= 1, spec
         total_fallbacks += fallbacks
     assert total_fallbacks > 0
+
+
+def _per_prime_logfrac_marks(spec: LogFracPrimes, flags: bytearray) -> list[int]:
+    """The log-fraction marks as the walk over every prime made them before
+    the interval marks: the double filter for each prime flagged 1, and the
+    reference test inside its band.  Returns the primes the reference
+    decided."""
+    scale = spec.t / (2.0 * math.pi)
+    decided = []
+    for p in compress(range(len(flags)), flags):
+        y = scale * math.log(p) - spec.shift
+        frac = y - math.floor(y)
+        gap = (frac if frac <= 0.5 else 1.0 - frac) - spec.width
+        if abs(gap) > primes_module._LOGFRAC_BAND * (1.0 + abs(y)):
+            if gap < 0.0:
+                flags[p] = 2
+            continue
+        decided.append(p)
+        if primes_module._logfrac_member(spec, p):
+            flags[p] = 2
+    return decided
+
+
+def _shift_in_band(t: float, width: float, p: int, side: int) -> float:
+    """A shift putting t*ln(p)/(2*pi) - shift at distance width + side * d
+    from an integer, with d = 2**-31 * (1 + |t*ln(p)/(2*pi)|): inside the
+    filter band, so the walk sends p to the reference, but far outside any
+    window narrower than the one _LOGFRAC_WINDOW states."""
+    with mpmath.mp.workprec(200):
+        u = mpmath.mpf(t) * mpmath.log(p) / (2 * mpmath.pi)
+        y = u - side * (width + mpmath.mpf(2) ** -31 * (1 + abs(u)))
+        return float(y - mpmath.floor(y)) % 1.0
+
+
+# Sets with one prime in the filter band, on either side of the boundary.
+# At these small |t| the band spans several integers around p, so a window
+# narrower than stated, which its rounding to integers would otherwise
+# hide, misses p.
+_IN_BAND = [LogFracPrimes(t, w, _shift_in_band(t, w, p, side))
+            for t, w, p in ((1e-6, 0.1, 1999), (-1e-4, 0.25, 999983))
+            for side in (1, -1)]
+
+# Both signs of t, from a subnormal scale to the 1e8 ceiling; widths 0, 0.1
+# and 1/2; shifts at 0 and just below 1.  The intervals are marked while
+# four times their number stays below the primes: up to |t| of about 50 at
+# limit 2000 and about 8e3 at 1e6.  So |t| = 3e3 and 5e3 take the
+# intervals only at 1e6, and 1e5 and 1e8 never.
+_BELOW_ONE = 1.0 - 2.0**-53
+_INTERVAL_GRID = [
+    *(LogFracPrimes(t, w, s) for t in (1.0, -37.5) for w in (0.0, 0.1, 0.5)
+      for s in (0.0, _BELOW_ONE)),
+    LogFracPrimes(-1.0, 0.1, 0.0),
+    LogFracPrimes(37.5, 0.0, _BELOW_ONE),
+    LogFracPrimes(3e3, 0.1, 0.0),
+    LogFracPrimes(-5e3, 0.5, _BELOW_ONE),
+    LogFracPrimes(1e5, 0.0, 0.3),
+    LogFracPrimes(-1e8, 0.1, _BELOW_ONE),
+    LogFracPrimes(-2.5, 0.25, 0.25),
+    LogFracPrimes(1e-10, 0.1, 0.3),
+    LogFracPrimes(5e-324, 0.1, 0.0),
+    *_IN_BAND,
+]
+
+
+@pytest.fixture(scope="module")
+def flags_to_a_million():
+    return _prime_flags(10**6)
+
+
+@pytest.mark.parametrize("spec", _INTERVAL_GRID, ids=render_spec)
+def test_interval_marks_match_the_per_prime_walk(spec, flags_to_a_million):
+    # The marks and the count of reference decisions, at every limit up to
+    # 2000 (each a prefix of the walk's at 2000) and at 1e6.  From |t| =
+    # 3e3 up every limit up to 2000 takes the walk itself, so one limit in
+    # 40 is read there.
+    want = _prime_flags(2000)
+    decided = _per_prime_logfrac_marks(spec, want)
+    for limit in range(0, 2001, 40 if abs(spec.t) >= 3e3 else 1):
+        marks = _prime_flags(limit)
+        fallbacks = _logfrac_marks(spec, marks)
+        assert marks == want[: limit + 1], limit
+        assert fallbacks == bisect.bisect_right(decided, limit), limit
+    marks = bytearray(flags_to_a_million)
+    want = bytearray(flags_to_a_million)
+    fallbacks = _logfrac_marks(spec, marks)
+    assert fallbacks == len(_per_prime_logfrac_marks(spec, want))
+    assert marks == want
+    if spec in _IN_BAND:
+        assert fallbacks >= 1
+
+
+def test_a_window_that_holds_every_prime():
+    # A shift equal to the width puts an endpoint at u = 0, and at t = 1e-10
+    # every prime up to 1e5 lies within the filter band of it, so its
+    # window holds them all and each takes the reference.
+    spec = LogFracPrimes(1e-10, 0.1, 0.1)
+    marks = _prime_flags(10**5)
+    want = bytearray(marks)
+    decided = _per_prime_logfrac_marks(spec, want)
+    assert _logfrac_marks(spec, marks) == len(decided) == want.count(1) + want.count(2)
+    assert marks == want
+
+
+class TestMemberFlagsOfEveryPrime:
+    def test_are_the_sieve_flags_untranslated(self, monkeypatch):
+        calls = []
+        translate = primes_module._translate
+        monkeypatch.setattr(primes_module, "_translate",
+                            lambda *args: calls.append(args) or translate(*args))
+        chunk = primes_module._CHUNK
+        for limit in [*range(2001), 4 * chunk - 1, 4 * chunk + 1]:
+            assert member_flags(AllPrimes(), limit) == _prime_flags(limit), limit
+        assert calls == []

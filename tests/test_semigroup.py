@@ -313,17 +313,42 @@ def _per_prime_code_table(primes, members, x):
     return table
 
 
-def _assert_every_route_matches_the_per_prime_walk(spec, x):
+# The x of the short-chunk test below.  Their per-prime-walk tables do not
+# depend on the chunk, so each is built once, by whichever of the two walk
+# tests reaches it first, and kept; no other x is kept.
+_SHORT_CHUNK_XS = [*range(64), *range(64, 2001, 7)]
+_KEPT_WALK_XS = set(_SHORT_CHUNK_XS)
+_WALK_TABLES = {}
+
+
+def _walk_tables(index, x, members):
+    """The per-prime-walk tables of <P>, of <P'> as flags and of the
+    sqrt(x)-smooth members, for the index-th form at x."""
+    key = (index, x)
+    if key in _WALK_TABLES:
+        return _WALK_TABLES[key]
     primes = _prime_flags(x)
+    root = math.isqrt(x)
+    complement = bytearray(map(sub, primes, members))
+    tables = (
+        _per_prime_code_table(primes, members, x),
+        _per_prime_code_table(primes, complement, x).translate(_NONZERO),
+        _per_prime_code_table(primes, members[: root + 1] + bytes(x - root), x),
+    )
+    if x in _KEPT_WALK_XS:
+        _WALK_TABLES[key] = tables
+    return tables
+
+
+def _assert_every_route_matches_the_per_prime_walk(index, x):
+    spec = SPEC_FORMS[index][0]
     members = member_flags(spec, x)
-    want = _per_prime_code_table(primes, members, x)
+    want, outside_want, smooth = _walk_tables(index, x, members)
     assert member_table(spec, x) == want, x
     outside, table = code_tables(spec, x)
-    complement = bytearray(map(sub, primes, members))
-    assert outside == _per_prime_code_table(primes, complement, x).translate(_NONZERO), x
+    assert outside == outside_want, x
     assert table == want, x
     root = math.isqrt(x)
-    smooth = _per_prime_code_table(primes, members[: root + 1] + bytes(x - root), x)
     table, large = smooth_split(spec, x)
     assert table == smooth, x
     assert large.tolist() == list(compress(range(root + 1, x + 1), members[root + 1 :])), x
@@ -331,7 +356,6 @@ def _assert_every_route_matches_the_per_prime_walk(spec, x):
 
 @pytest.mark.parametrize("index", range(len(SPEC_FORMS)))
 def test_every_table_route_matches_the_per_prime_walk(index):
-    spec = SPEC_FORMS[index][0]
     # x where the band x/2 < p <= x holds one or two chunks of odd n, or one
     # odd n more.
     chunk = primes_module._CHUNK
@@ -339,7 +363,7 @@ def test_every_table_route_matches_the_per_prime_walk(index):
     band_one = {len(range((x // 2 + 1) | 1, x + 1, 2)) for x in edges}
     assert band_one == {chunk, chunk + 1, 2 * chunk, 2 * chunk + 1}
     for x in [*range(2001), *edges, 10**6]:
-        _assert_every_route_matches_the_per_prime_walk(spec, x)
+        _assert_every_route_matches_the_per_prime_walk(index, x)
 
 
 def _set_chunk(monkeypatch, chunk):
@@ -352,10 +376,9 @@ def _set_chunk(monkeypatch, chunk):
 def test_short_chunks_match_the_per_prime_walk(index, monkeypatch):
     # Chunks of 1 to 3 n put chunk edges all through the sieve, the marks,
     # the walk's runs of multiples and every band (bands start at x = 256).
-    spec = SPEC_FORMS[index][0]
-    for x in [*range(64), *range(64, 2001, 7)]:
+    for x in _SHORT_CHUNK_XS:
         _set_chunk(monkeypatch, 1 + x % 3)
-        _assert_every_route_matches_the_per_prime_walk(spec, x)
+        _assert_every_route_matches_the_per_prime_walk(index, x)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, primes_module._CHUNK])

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -5,8 +6,15 @@ import mpmath
 import pytest
 
 from musum.errors import DomainError
-from musum.primes import AllPrimes, CofinitePrimes, FinitePrimes, LogFracPrimes, ResiduePrimes
-from musum.primes import _mp_context, is_member, primes_in
+from musum.primes import (
+    AllPrimes,
+    CofinitePrimes,
+    FinitePrimes,
+    IntervalPrimes,
+    LogFracPrimes,
+    ResiduePrimes,
+)
+from musum.primes import _mp_context, is_member, primes_in, render_spec
 from musum.sums import euler_product_partial
 from musum.zeta import (
     ScanRow,
@@ -84,6 +92,49 @@ class TestZetaEvaluation:
             z = mpmath.power(2, -(2.0 + t * 1j))
             want = complex(1 / (1 - z))
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def _complex_loop(members: list[int], s: complex) -> complex:
+    """The product as zeta_p took it on the real axis before the real
+    reduce: one complex exp and one complex division per member, at the
+    phases _reduced_phases gives for Im(s)."""
+    value = complex(1.0, 0.0)
+    for p, phase in zip(members, _reduced_phases(members, s.imag)[0]):
+        value /= 1.0 - p ** -s.real * cmath.exp(-1j * phase)
+    return value
+
+
+# One set of each form, as in test_semigroup's SPEC_FORMS, and an empty
+# finite set.
+_REAL_AXIS_SETS = [
+    AllPrimes(),
+    FinitePrimes((2, 3, 7)),
+    FinitePrimes(()),
+    CofinitePrimes((2, 5)),
+    IntervalPrimes(3.0, 40.0),
+    ResiduePrimes(1, 4),
+    LogFracPrimes(5.0, 0.2, 0.3),
+]
+
+
+class TestRealAxisProduct:
+    @pytest.mark.parametrize("spec", _REAL_AXIS_SETS, ids=render_spec)
+    def test_bits_match_the_complex_loop(self, spec):
+        # sigma = 1100 takes every p**-sigma to 0.0.
+        assert 2.0**-1100.0 == 0.0
+        for limit in (1, 2, 1000, 10**5):
+            members = primes_in(spec, limit)
+            for sigma in (1.0 + 2.0**-40, 1.05, 2.0, 50.0, 1100.0):
+                for imag in (0.0, -0.0):
+                    s = complex(sigma, imag)
+                    if limit < 2:
+                        with pytest.raises(DomainError):
+                            zeta_p(spec, s, limit)
+                        continue
+                    got = zeta_p(spec, s, limit).value
+                    want = _complex_loop(members, s)
+                    assert (got.real.hex(), got.imag.hex()) == (
+                        want.real.hex(), want.imag.hex()), (limit, s)
 
 
 class TestLogIdentityResidual:
@@ -218,6 +269,16 @@ class TestPhaseReduction:
             # the band is about 1e-17 wide here, so some phases need the
             # reference
             assert fallbacks > 0
+
+    @pytest.mark.parametrize("t", [1e-300, -1e-300, 1e-20, -1e-20, 1e-10, 1e-8, 1e-6])
+    def test_small_scales_match_the_reference(self, t):
+        # For 0 < t*ln p < 2*pi nothing is reduced, so the band is relative
+        # to the phase and few phases need the reference.
+        phases, fallbacks = _reduced_phases(self._PRIMES, t)
+        want = _reference_phases(self._PRIMES, t)
+        assert [x.hex() for x in phases] == [x.hex() for x in want]
+        if t > 0.0:
+            assert fallbacks < len(self._PRIMES) / 100
 
     @pytest.mark.parametrize("t", [5e-324, 1e-310])
     def test_subnormal_scales_take_the_reference(self, t):
