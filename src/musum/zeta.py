@@ -18,11 +18,12 @@ t*ln(p) mod 2*pi of p**-it is reduced from an extended-precision logarithm
 so that large |t| cannot wash out the angle.  The phases are defined as the
 doubles that the mpmath reduction at _PHASE_PRECISION_BITS returns
 (``_reference_phases``).  ``_reduced_phases`` gets the same bits mostly in
-integer fixed point: it computes t*ln(p) mod 2*pi to within |t| * 2**-119,
-with an error band that also covers the reference's own error, and keeps the
+integer fixed point: it computes t*ln(p) mod 2*pi to within
+(1 + |t*ln p|) * 2**-92 from an 11-bit table of logarithms (Tang 1990), with
+an error band that also covers the reference's own error, and keeps the
 correctly rounded double only when no value inside the band rounds
-differently or wraps past 0 or 2*pi.  Every other prime goes to the
-reference (Ziv's scheme for correct rounding).
+differently or lets the reference wrap past 0 or 2*pi.  Every other prime
+goes to the reference (Ziv's scheme for correct rounding).
 
 On the real axis (Im(s) = 0, of either sign) every phase is 0.0, and each
 factor of the complex loop comes out as exactly (1 - p**-sigma, +0.0):
@@ -71,29 +72,32 @@ from .primes import FinitePrimes, LogFracPrimes, PrimeSetSpec, _mp_context, memb
 # value is that close to 0 or 2*pi and the reduction wraps.
 _PHASE_PRECISION_BITS = 96
 
-# Fixed-point phases: ln p, ln 2 and 2*pi are integers scaled by
-# 2**_PHASE_FRAC_BITS, each within 2**-120 of its value, so the fast phase
-# is within |t| * 2**-119 of the exact one (ln p >= ln 2, and each of the
-# |t*ln p| / (2*pi) periods taken off is itself that close).  Once a period
-# is taken off (t*ln p >= 2*pi, or t < 0), the band is
-# 2**-_PHASE_BAND_BITS * (1 + |t*ln p|): 2**13 times the reference's error
-# bound and far wider than the fast route's own.  For 0 < t*ln p < 2*pi
-# nothing is reduced: mpmath's mod returns its 96-bit product unchanged,
-# within 2**-94 of t*ln p relatively, and the fast phase is within 2**-119
-# relatively, so the band is 2**-_PHASE_BAND_BITS times the phase itself.
-# Either band holds both the exact value and the reference.  The correctly
-# rounded double of the fast phase is the reference's whenever both ends of
-# the band round to the same normal double and the band stays inside
-# (0, 2*pi), where the reference cannot wrap.  Subnormal phases, which
-# mpmath rounds twice, all take the reference.
-_PHASE_FRAC_BITS = 128
-_PHASE_BAND_BITS = 80
+# Fixed-point phases, in units u = 2**-_PHASE_FRAC_BITS: 2*pi, k*ln 2 and
+# ln(top) are integers within (1/2 + 2**-16) * u of their values, and
+# _fixed_log is within 6u of ln p.  With ln p >= ln 2 and at most
+# |t*ln p| / (2*pi) + 1 periods taken off, the fast phase is within
+# (1 + |t*ln p|) * 2**-92 of the exact one, and the reference within
+# (1 + |t*ln p|) * 2**-93.  Once a period is taken off (t*ln p >= 2*pi, or
+# t < 0), the band is 2**-_PHASE_BAND_BITS * (1 + |t*ln p|), which holds
+# the sum of both.  For 0 < t*ln p < 2*pi nothing is reduced: mpmath's mod
+# returns its 96-bit product unchanged, within 2**-95 of t*ln p relatively,
+# and the fast phase is within 2**-92 relatively, so the band is
+# 2**-_PHASE_BAND_BITS times the phase itself.  Either band holds both the
+# exact value and the reference.  The correctly rounded double of the fast
+# phase is the reference's whenever both ends of the band round to the same
+# normal double and the reference cannot wrap: the band stays above 0, and
+# below 2*pi unless -2*pi < t*ln p < 0, where the reference adds its one
+# period without reducing.  Subnormal phases, which mpmath rounds twice, all
+# take the reference.
+_PHASE_FRAC_BITS = 96
+_PHASE_BAND_BITS = 91
 # ln p = k*ln 2 + ln(top) + 2*atanh(z) for the _LOG_TOP_BITS leading bits
-# `top` of p, with |z| < 2**-_LOG_TOP_BITS; the constants are summed with
-# _SERIES_GUARD_BITS more fractional bits and then rounded.
-_LOG_TOP_BITS = 9
+# `top` of p, with 0 <= z < 2**-_LOG_TOP_BITS, so three terms of the series
+# past 2*z reach u; the constants are summed with _SERIES_GUARD_BITS more
+# fractional bits and then rounded.
+_LOG_TOP_BITS = 11
 _LOG_TOP_LOW = 1 << (_LOG_TOP_BITS - 1)
-_SERIES_GUARD_BITS = 64
+_SERIES_GUARD_BITS = 32
 _SMALLEST_NORMAL = sys.float_info.min
 
 DEFAULT_PRIME_LIMIT = 10**6
@@ -147,49 +151,46 @@ def _inverse_series(q: int, bits: int, sign: int) -> int:
     return total
 
 
-def _series_constants(bits: int) -> tuple[int, int, list[int]]:
-    """ln 2, 2*pi (Machin's formula) and ln(top) for each top with
-    _LOG_TOP_BITS bits, from _LOG_TOP_LOW up, all times 2**bits.  Each
-    ln(top + 1) adds 2*atanh(1 / (2*top + 1)) to ln(top)."""
+@functools.cache
+def _fixed_point_constants() -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """k*ln 2 for 0 <= k < 64, 2*pi (Machin's formula) and ln(top) for each
+    top with _LOG_TOP_BITS bits, from _LOG_TOP_LOW up, each summed with
+    _SERIES_GUARD_BITS guard bits and rounded to _PHASE_FRAC_BITS fractional
+    bits.  Each ln(top + 1) adds 2*atanh(1 / (2*top + 1)) to ln(top).  Built
+    on first use (about 2 ms) so that importing costs nothing."""
+    bits = _PHASE_FRAC_BITS + _SERIES_GUARD_BITS
+    half = 1 << (_SERIES_GUARD_BITS - 1)
     ln2 = 2 * _inverse_series(3, bits, 1)
     two_pi = 32 * _inverse_series(5, bits, -1) - 8 * _inverse_series(239, bits, -1)
-    logs = [(_LOG_TOP_BITS - 1) * ln2]
+    log = (_LOG_TOP_BITS - 1) * ln2
+    logs = [(log + half) >> _SERIES_GUARD_BITS]
     for top in range(_LOG_TOP_LOW, 2 * _LOG_TOP_LOW - 1):
-        logs.append(logs[-1] + 2 * _inverse_series(2 * top + 1, bits, 1))
-    return ln2, two_pi, logs
+        log += 2 * _inverse_series(2 * top + 1, bits, 1)
+        logs.append((log + half) >> _SERIES_GUARD_BITS)
+    ln2s = tuple((k * ln2 + half) >> _SERIES_GUARD_BITS for k in range(64))
+    return ln2s, (two_pi + half) >> _SERIES_GUARD_BITS, tuple(logs)
 
 
-@functools.cache
-def _fixed_point_constants() -> tuple[int, int, tuple[int, ...]]:
-    """The series constants rounded to _PHASE_FRAC_BITS fractional bits,
-    built on first use (about 1 ms) so that importing costs nothing."""
-    ln2, two_pi, logs = _series_constants(_PHASE_FRAC_BITS + _SERIES_GUARD_BITS)
-    half = 1 << (_SERIES_GUARD_BITS - 1)
-    ln2, two_pi, *logs = [(c + half) >> _SERIES_GUARD_BITS for c in (ln2, two_pi, *logs)]
-    return ln2, two_pi, tuple(logs)
-
-
-def _fixed_log(p: int, ln2: int, log_top: tuple[int, ...]) -> int:
-    """ln p times 2**_PHASE_FRAC_BITS, within 2**-120 of it, for an integer
-    2 <= p < 2**64, from the fixed-point ln 2 and ln(top) table."""
+def _fixed_log(p: int, ln2s: tuple[int, ...], log_top: tuple[int, ...]) -> int:
+    """ln p times 2**_PHASE_FRAC_BITS, within 6 of it, for an integer
+    2 <= p < 2**64, from the fixed-point k*ln 2 and ln(top) tables."""
     shift = p.bit_length() - _LOG_TOP_BITS
     if shift <= 0:
-        return log_top[(p << -shift) - _LOG_TOP_LOW] + shift * ln2
+        return log_top[(p << -shift) - _LOG_TOP_LOW] - ln2s[-shift]
     top = p >> shift
     base = top << shift
-    # ln(p / base) = 2*atanh(a/b) with 0 <= a/b < 2**-_LOG_TOP_BITS.
+    # ln(p / base) = 2*atanh(a/b) with 0 <= a/b < 2**-_LOG_TOP_BITS; zk is
+    # 2*(a/b)**k times 2**_PHASE_FRAC_BITS, each floor below loses less than
+    # 1 + 1/k, and the k = 9 term is below 2**-5.
     a = p - base
     b = p + base
-    term = (a << (_PHASE_FRAC_BITS + 1)) // b
-    total = term
     a2 = a * a
     b2 = b * b
-    k = 3
-    while term:
-        term = term * a2 // b2
-        total += term // k
-        k += 2
-    return log_top[top - _LOG_TOP_LOW] + shift * ln2 + total
+    z = (a << (_PHASE_FRAC_BITS + 1)) // b
+    z3 = z * a2 // b2
+    z5 = z3 * a2 // b2
+    series = z + z3 // 3 + z5 // 5 + z5 * a2 // b2 // 7
+    return log_top[top - _LOG_TOP_LOW] + ln2s[shift] + series
 
 
 def _reference_phases(members: list[int], t: float) -> list[float]:
@@ -208,26 +209,31 @@ def _reduced_phases(members: list[int], t: float) -> tuple[list[float], int]:
         return [0.0] * len(members), 0
     # t = num / den exactly, with den a power of two; the phase of p is
     # r / scale for r = num * L mod period, with L the fixed-point ln p.
-    ln2, two_pi, log_top = _fixed_point_constants()
+    ln2s, two_pi, log_top = _fixed_point_constants()
     num, den = t.as_integer_ratio()
     scale = den << _PHASE_FRAC_BITS
     period = two_pi * den
     floor_band = den << (_PHASE_FRAC_BITS - _PHASE_BAND_BITS)
+    # x / scale, correctly rounded.  While 2 * period fits a double,
+    # x * (1 / scale) rounds x once and scales it exactly by a power of two
+    # down to the smallest normal, below which phases take the reference;
+    # it is four times as fast as int / int.
+    to_double = (1.0 / scale).__rmul__ if period.bit_length() < 1023 else scale.__rtruediv__
     phases = []
     doubtful = []
     for i, p in enumerate(members):
-        product = num * _fixed_log(p, ln2, log_top)
+        product = num * _fixed_log(p, ln2s, log_top)
         r = product % period
         if r == product:  # 0 < t*ln p < 2*pi: a relative band
             band = r >> _PHASE_BAND_BITS
         else:
             band = floor_band + (abs(product) >> _PHASE_BAND_BITS)
-        if r < period - band:
-            # int / int is correctly rounded, and rounding is monotone.  Up
-            # to r = band the lower end rounds to 0.0 or below and the upper
-            # end above it, so phases that small take the reference.
-            low = (r - band) / scale
-            if low == (r + band) / scale and low > _SMALLEST_NORMAL:
+        if r < period - band or r - product == period:  # or one period added
+            # Rounding is monotone.  Up to r = band the lower end rounds to
+            # 0.0 or below and the upper end above it, so phases that small
+            # take the reference.
+            low = to_double(r - band)
+            if low == to_double(r + band) and low > _SMALLEST_NORMAL:
                 phases.append(low)
                 continue
         doubtful.append(i)
