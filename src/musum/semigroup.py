@@ -13,15 +13,16 @@ independent backends produce the stream (n, mu(n)) in strictly increasing n:
   and chunk of a band, however many primes the chunk holds.  Every run
   longer than a chunk is taken a chunk at a time, so no temporary grows
   with x.
-  Every count and sum over <P> is read off the table at C speed with
-  ``bytes.count``, ``bytes.translate`` and ``itertools.compress``, a chunk
-  at a time, and a table built up to x answers every bound below x through
-  its prefix.  ``table_fsums`` gives the correctly rounded float sums of
-  mu(n)/n at each point of an ascending grid: ``math.fsum`` over
-  ``map(truediv, ...)`` of the n and the mu(n) that each translated chunk
-  selects, so no Python frame runs per term.  Between grid points the
-  exact prefix rides along as two doubles, so each segment of the table is
-  read twice, not once per later point;
+  Every count over <P> is a ``bytes.count`` on the table, and every term is
+  read through one reader, ``table_runs``: it translates each run of the
+  table once, into mu(n) as a signed byte, and ``itertools.compress`` picks
+  out the run's members and their mu(n) at C speed.  A table built up to x
+  answers every bound below x through its prefix.  ``table_fsums`` gives
+  the correctly rounded float sums of mu(n)/n at each point of an ascending
+  grid: ``math.fsum`` over ``map(truediv, ...)`` of each run's mu(n) and n,
+  so no Python frame runs per term.  Between grid points the exact prefix
+  rides along as two doubles, so each segment is read twice, not once per
+  later point;
 * ``heap``  (finite P only) generalises the classic merge generation of
   Hamming numbers: each member is extended by generators whose index is at
   least the largest one already used, so every member appears exactly once.
@@ -38,7 +39,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, starmap
-from operator import truediv
+from operator import mul, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceError, UsageError
@@ -58,8 +59,8 @@ from .primes import PrimeSetSpec, _coded_primes, _member_marks, _runs, _translat
 # all primes; the flags are gone before the table of <P> is built.  Exact
 # partial_sum of an infinite set reads smooth_split: 1 per n plus 4 per
 # member prime, and its merge's integers, 2.09 per n at the exact ceiling of
-# 1e5 for 1 mod 4.  The float reader table_fsums holds a copy of one
-# run of the segment it reads and its translation, within the chunks above.
+# 1e5 for 1 mod 4.  The one reader, table_runs, holds per run the run's
+# codes and its signed mask: two chunks, within the chunks above.
 # The ceiling also makes table_fsums exact: each term
 # +-1/n with n <= 10**8 < 2**27 rounds to a multiple of 2**-79, so every
 # prefix S of rounded terms is one too, and |S| < H(10**8) < 20 puts
@@ -80,11 +81,8 @@ _START = bytes((1, 5, 4)) + bytes(253)  # marks to start codes
 _UNWALKED = bytes(4) + bytes((1, 1)) + bytes(250)  # a prime, codes 4 and 5
 _FLIP = bytes((0, 2, 1, 3)) + bytes(252)  # one more prime factor
 _SQUARE = bytes((0, 3, 3, 3)) + bytes(252)  # a square factor
-_MEMBERS = bytes((0, 1, 1, 1, 1)) + bytes(251)  # in <P>
-_SQUAREFREE = bytes((0, 1, 1, 0, 1)) + bytes(251)  # nonzero mu
 _GENERATOR = bytes((0, 0, 0, 0, 1)) + bytes(251)  # a generating prime
 _SIGNED_MU = bytes((0, 1, 255, 0, 255)) + bytes(251)  # mu as a signed byte
-_MU = (0, 1, -1, 0, -1)
 
 # _code_table's band walk adds an action to each code: 8 flips it, 16 zeroes
 # it and 0 keeps it.  _ACTION reads the action off a band prime's own code:
@@ -175,17 +173,20 @@ def _code_table(table: bytearray, x: int) -> bytearray:
     table[0] = 0
     top = max(1, min(8, math.isqrt(x // 64)))
     long = x // (_CHUNK + 1)  # the primes with more than a chunk of multiples
-    for run in _runs(0, x // top + 1, 1):
-        for p in compress(range(run.start, run.stop), table[run].translate(_UNWALKED)):
-            if p <= long:
-                _step_in_runs(table, p)
-            elif table[p] == 4:  # each run is one slice: _step_in_runs's, without its calls
-                table[2 * p :: p] = table[2 * p :: p].translate(_FLIP)
-                square = p * p
-                if square <= x:
-                    table[square::square] = table[square::square].translate(_SQUARE)
+    for p in _coded_primes(table, _UNWALKED, x // top + 1):
+        if p <= long:  # a run of at most _CHUNK multiples at a time
+            if table[p] == 4:
+                _translate(table, _FLIP, 2 * p, p)
+                _translate(table, _SQUARE, p * p, p * p)  # empty if p * p is past the table
             else:
-                table[p::p] = bytearray(x // p)
+                _zero(table, p, p)
+        elif table[p] == 4:  # one run: the slice _translate or _zero would take
+            table[2 * p :: p] = table[2 * p :: p].translate(_FLIP)
+            square = p * p
+            if square <= x:
+                table[square::square] = table[square::square].translate(_SQUARE)
+        else:
+            table[p::p] = bytearray(x // p)
     for k in range(1, top):
         for run in _runs((x // (k + 1) + 1) | 1, x // k + 1, 2):
             a, b = run.start, run.stop
@@ -196,16 +197,6 @@ def _code_table(table: bytearray, x: int) -> bytearray:
                 total = int.from_bytes(table[codes], "little") + action
                 table[codes] = total.to_bytes(size, "little").translate(_BAND)
     return table
-
-
-def _step_in_runs(table: bytearray, p: int) -> None:
-    """_code_table's step for a prime p whose multiples outnumber a chunk,
-    taken a run of at most _CHUNK of them at a time."""
-    if table[p] == 4:
-        _translate(table, _FLIP, 2 * p, p)
-        _translate(table, _SQUARE, p * p, p * p)  # empty if p * p is past the table
-    else:
-        _zero(table, p, p)
 
 
 def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
@@ -250,44 +241,28 @@ def smooth_split(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
     return _code_table(marks, x), members
 
 
+def table_runs(table: bytearray, start: int, stop: int, squarefree_only: bool) -> Iterator[tuple]:
+    """For each run of a code table from start to stop: two iterators, of its
+    members n, ascending, and of their mu(n).  The run is translated once,
+    into mu as a signed byte, and that mask selects the squarefree members;
+    without squarefree_only the run's codes select every member, mu 0 too."""
+    for run in _runs(start, stop, 1):
+        codes = table[run]
+        signed = codes.translate(_SIGNED_MU)
+        mask = signed if squarefree_only else codes
+        mus = compress(memoryview(signed).cast("b"), mask)
+        yield compress(range(run.start, run.stop), mask), mus
+
+
 def table_terms(table: bytearray, x: int, squarefree_only: bool) -> Iterator[tuple[int, int]]:
     """(n, mu(n)) for the members n <= x of a code table, ascending; with
-    squarefree_only, the mu == 0 members are left out.  The table is read a
-    run at a time."""
-    codes = _SQUAREFREE if squarefree_only else _MEMBERS
-    if x < _CHUNK:  # one run, read without a chain around it
-        return _run_terms(table, slice(0, x + 1), codes)
-    return chain.from_iterable(_run_terms(table, run, codes) for run in _runs(0, x + 1, 1))
+    squarefree_only, the mu == 0 members are left out."""
+    return chain.from_iterable(starmap(zip, table_runs(table, 0, x + 1, squarefree_only)))
 
 
-def _run_terms(table: bytearray, run: slice, codes: bytes) -> Iterator[tuple[int, int]]:
-    """(n, mu(n)) for the n of one run whose code ``codes`` maps to 1."""
-    segment = table[run]
-    mask = segment.translate(codes)
-    mus = map(_MU.__getitem__, compress(segment, mask))
-    return zip(compress(range(run.start, run.stop), mask), mus)
-
-
-def _signed_runs(table: bytearray, start: int, stop: int) -> Iterator[tuple[range, bytearray]]:
-    """For each run of the table from start to stop: its n, and a mask that
-    holds mu(n) as a signed byte, so it selects the squarefree members."""
-    for run in _runs(start, stop, 1):
-        yield range(run.start, run.stop), table[run].translate(_SIGNED_MU)
-
-
-def _signs(signed: bytearray) -> Iterator[int]:
-    """The nonzero mu(n) of a signed mask, as ints."""
-    return compress(memoryview(signed).cast("b"), signed)
-
-
-def table_squarefree(table: bytearray, x: int) -> tuple[int, Iterator[int], Iterator[int]]:
-    """The number of squarefree members n <= x of a code table, then the
-    columns of those n and of their mu(n), ascending; each column reads the
-    table a run at a time."""
-    count = sum(table.count(code, 0, x + 1) for code in (1, 2, 4))
-    ns = starmap(compress, _signed_runs(table, 0, x + 1))
-    mus = (_signs(signed) for _, signed in _signed_runs(table, 0, x + 1))
-    return count, chain.from_iterable(ns), chain.from_iterable(mus)
+def table_count_squarefree(table: bytearray, start: int, stop: int) -> int:
+    """The number of squarefree members start <= n < stop of a code table."""
+    return stop - start - table.count(0, start, stop) - table.count(3, start, stop)
 
 
 def table_primes(table: bytearray, x: int) -> Iterator[int]:
@@ -314,8 +289,7 @@ def table_tallies(table: bytearray, grid: Iterable[int]) -> Iterator[tuple[int, 
 def _quotients(table: bytearray, start: int, stop: int, extra: tuple) -> Iterator[float]:
     """mu(n) / n for the squarefree members start <= n < stop, then
     ``extra``."""
-    runs = (map(truediv, _signs(signed), compress(ns, signed))
-            for ns, signed in _signed_runs(table, start, stop))
+    runs = (map(truediv, mus, ns) for ns, mus in table_runs(table, start, stop, True))
     return chain.from_iterable(chain(runs, (extra,)))
 
 
@@ -336,7 +310,7 @@ def table_fsums(table: bytearray, grid: Sequence[int]) -> Iterator[tuple[float, 
     for i, x in enumerate(grid, 1):
         stop = x + 1
         value = math.fsum(_quotients(table, start, stop, (hi, lo)))
-        count += stop - start - table.count(0, start, stop) - table.count(3, start, stop)
+        count += table_count_squarefree(table, start, stop)
         yield value, count
         if i < len(grid):
             lo = math.fsum(_quotients(table, start, stop, (hi, lo, -value)))
@@ -353,7 +327,8 @@ def table_floor_sum(table: bytearray, x: int) -> int:
     1996).
     """
     s = math.isqrt(x)
-    total = sum(mu * (x // n) for n, mu in table_terms(table, s, True))
+    runs = table_runs(table, 0, s + 1, True)
+    total = sum(sum(map(mul, mus, map(x.__floordiv__, ns))) for ns, mus in runs)
     for q in range(1, x // (s + 1) + 1):
         total += q * _mobius_total(table, max(s, x // (q + 1)) + 1, x // q + 1)
     return total

@@ -59,8 +59,9 @@ from .errors import DomainError, UsageError
 from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
 from .primes import member_primes
 from .semigroup import _distinct_prime_factors, _heap_stream, check_enum_limit, code_tables
-from .semigroup import member_table, mobius, smooth_split, squarefree_terms, table_floor_sum
-from .semigroup import table_fsums, table_primes, table_squarefree, table_tallies, table_terms
+from .semigroup import member_table, mobius, smooth_split, squarefree_terms, table_count_squarefree
+from .semigroup import table_floor_sum, table_fsums, table_primes, table_runs, table_tallies
+from .semigroup import table_terms
 
 # Exact summation carries denominators that divide lcm(1..x); at x = 1e5
 # that is ~43000 decimal digits, so exact mode refuses larger x.  Finite
@@ -218,8 +219,9 @@ def _split_sum(table: bytearray, large: Sequence[int], x: int) -> tuple[int, int
         values.append((num, den))
         counts.append(counts[-1] + (v in mu_of))
     common = math.prod(table_primes(table, s))
-    count, ns, mus = table_squarefree(table, x)
-    smooth = sum(map(mul, mus, map(common.__floordiv__, ns)))
+    runs = table_runs(table, 0, x + 1, True)
+    smooth = sum(sum(map(mul, mus, map(common.__floordiv__, ns))) for ns, mus in runs)
+    count = table_count_squarefree(table, 0, x + 1)
     count += sum(map(counts.__getitem__, map(x.__floordiv__, large)))
     prefixes = map(values.__getitem__, map(x.__floordiv__, large))
     pairs = ((-a, p * b) for p, (a, b) in zip(large, prefixes) if a)

@@ -3,8 +3,8 @@ import math
 import random
 import sys
 import tracemalloc
-from itertools import compress
-from operator import add, sub
+from itertools import compress, starmap, zip_longest
+from operator import add, eq, itemgetter, sub
 from pathlib import Path
 
 import pytest
@@ -29,7 +29,6 @@ from musum.primes import (
 )
 from musum.semigroup import (
     _FLIP,
-    _MU,
     _SQUARE,
     EnumerationOptions,
     _code_table,
@@ -43,6 +42,7 @@ from musum.semigroup import (
     smooth_split,
     table_fsums,
     table_primes,
+    table_terms,
 )
 from musum.sums import EXACT_CEILING, partial_sum, zorn_check
 
@@ -340,11 +340,33 @@ def _walk_tables(index, x, members):
     return tables
 
 
-def _assert_every_route_matches_the_per_prime_walk(index, x):
+# mu by table code, as the codes are documented in semigroup: 0 outside <P>,
+# then mu +1, mu -1, mu 0 and a generating prime.
+_MU_BY_CODE = (0, 1, -1, 0, -1)
+
+
+def _decoded_terms(table):
+    """(n, mu(n)) for every member n of a whole code table, each mu looked up
+    by its code in _MU_BY_CODE."""
+    mus = map(_MU_BY_CODE.__getitem__, compress(table, table))
+    return zip(compress(range(len(table)), table), mus)
+
+
+def _assert_every_route_matches_the_per_prime_walk(index, x, terms=False):
+    """Every table route against the per-prime walk at x; with ``terms``,
+    table_terms too, with either flag, against the walk's table decoded
+    term by term."""
     spec = SPEC_FORMS[index][0]
     members = member_flags(spec, x)
     want, outside_want, smooth = _walk_tables(index, x, members)
     assert member_table(spec, x) == want, x
+    if terms:  # compared as streams: at 10**6 the lists would take over 100 MB
+        for squarefree_only in (False, True):
+            decoded = _decoded_terms(want)
+            if squarefree_only:
+                decoded = filter(itemgetter(1), decoded)
+            got = table_terms(want, x, squarefree_only)
+            assert all(starmap(eq, zip_longest(got, decoded))), (x, squarefree_only)
     outside, table = code_tables(spec, x)
     assert outside == outside_want, x
     assert table == want, x
@@ -363,7 +385,7 @@ def test_every_table_route_matches_the_per_prime_walk(index):
     band_one = {len(range((x // 2 + 1) | 1, x + 1, 2)) for x in edges}
     assert band_one == {chunk, chunk + 1, 2 * chunk, 2 * chunk + 1}
     for x in [*range(2001), *edges, 10**6]:
-        _assert_every_route_matches_the_per_prime_walk(index, x)
+        _assert_every_route_matches_the_per_prime_walk(index, x, terms=x == 10**6)
 
 
 def _set_chunk(monkeypatch, chunk):
@@ -378,7 +400,7 @@ def test_short_chunks_match_the_per_prime_walk(index, monkeypatch):
     # the walk's runs of multiples and every band (bands start at x = 256).
     for x in _SHORT_CHUNK_XS:
         _set_chunk(monkeypatch, 1 + x % 3)
-        _assert_every_route_matches_the_per_prime_walk(index, x)
+        _assert_every_route_matches_the_per_prime_walk(index, x, terms=True)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, primes_module._CHUNK])
@@ -389,7 +411,7 @@ def test_float_sums_across_chunk_edges_match_one_fsum(chunk, monkeypatch):
     # quotients, each taken term by term.
     x = 2000 if chunk <= 3 else 8 * chunk
     table = member_table(CofinitePrimes((3,)), x)
-    quotients = [_MU[code] / n for n, code in enumerate(table) if code in (1, 2, 4)]
+    quotients = [_MU_BY_CODE[code] / n for n, code in enumerate(table) if code in (1, 2, 4)]
     counts = [0]
     for code in table[1:]:
         counts.append(counts[-1] + (code in (1, 2, 4)))
@@ -487,11 +509,12 @@ def test_table_routes_mark_members_once(route, monkeypatch):
     assert len(calls) == 1
 
 
-# Sieving, marking and table building stay behind semigroup: the sums and
-# the experiments read tables, they do not build them.
+# Sieving, marking and table building stay behind semigroup, and so do the
+# translations of the codes: the sums and the experiments read tables only
+# through the public readers, they do not build or decode them.
 _TABLE_INTERNALS = {
     "_prime_flags", "_mark_members", "_member_marks", "_coded_primes", "_runs", "_translate",
-    "_zero", "_code_table",
+    "_zero", "_code_table", "_SIGNED_MU", "_GENERATOR", "_START", "_FLIP", "_SQUARE",
 }
 
 
