@@ -54,9 +54,9 @@ from .primes import PrimeSetSpec, _coded_primes, _member_marks, _runs, _translat
 # turned into the table in place, and about 90 KB of chunks, which the
 # sieve, the walk and every reader take a _CHUNK at a time.  100 MB at 1e8.
 # count_members_outside, zorn_check and gran_residual also hold the flags of
-# <P'> beside the marks, and the member primes as one array (4 bytes each)
-# while they sieve those flags: 2.18 at 1e6 for 1 mod 4, 223 MB at 1e8 for
-# all primes; the flags are gone before the table of <P> is built.  Exact
+# <P'> beside the marks while they sieve them, reading the members off the
+# marks a chunk at a time: 2.09 at 1e6, 201 MB at 1e8; a finite set's flags
+# need no marks.  The flags are gone before the table of <P> is built.  Exact
 # partial_sum of an infinite set reads smooth_split: 1 per n plus 4 per
 # member prime, and its merge's integers, 2.09 per n at the exact ceiling of
 # 1e5 for 1 mod 4.  The one reader, table_runs, holds per run the run's
@@ -84,12 +84,15 @@ _SQUARE = bytes((0, 3, 3, 3)) + bytes(252)  # a square factor
 _GENERATOR = bytes((0, 0, 0, 0, 1)) + bytes(251)  # a generating prime
 _SIGNED_MU = bytes((0, 1, 255, 0, 255)) + bytes(251)  # mu as a signed byte
 
-# _code_table's band walk adds an action to each code: 8 flips it, 16 zeroes
-# it and 0 keeps it.  _ACTION reads the action off a band prime's own code:
-# 8 at a member (4), 16 at any other (5).  Its sum 12 (4 + 8) stays 4, and
-# 21 (5 + 16) is 0, as are 16..19.
+# The band walk (_band_add) adds an action to each code: 8 flips it, 16
+# zeroes it and 0 keeps it.  _ACTION reads the action off a band prime's own
+# code: 8 at a member (4), 16 at any other (5).  Its sum 12 (4 + 8) stays 4,
+# and 21 (5 + 16) is 0, as are 16..19.  On the 0/1 flags of <P'> it is 2 at
+# a member's mark (2), so that of the sums 0..3 only 1 stays a flag.
 _ACTION = bytes(4) + bytes((8, 16)) + bytes(250)
 _BAND = bytes((0, 1, 2, 3, 4, 0, 0, 0, 0, 2, 1, 3, 4)) + bytes(243)
+_OUTSIDE_ACTION = bytes((0, 0, 2)) + bytes(253)
+_OUTSIDE_BAND = bytes((0, 1, 0, 0)) + bytes(252)
 
 
 @dataclass(frozen=True)
@@ -156,22 +159,14 @@ def _code_table(table: bytearray, x: int) -> bytearray:
     of multiples is taken _CHUNK entries at a time, so the array is the only
     allocation that grows with x.
 
-    The primes up to x // top, with top = min(8, isqrt(x // 64)), take one
-    step each.  Every larger prime lies in a band x // (k + 1) < p <= x // k
-    with k < top <= sqrt(x) / 8, so p > sqrt(x): p has no square multiple up
-    to x, its multiples are p, 2p, ..., kp, and each j*p with j >= 2 is
-    composite, so it holds a code 0..3 whatever the order.  A band's primes
-    are odd, and its odd n are taken _CHUNK at a time.  One integer holds a
-    byte per n, translated from their codes: 8 at a member prime (flip), 16
-    at another prime (zero), 0 elsewhere.  For each j <= k the codes of the
-    j*n are one strided slice; the integer is added to them in one
-    carry-free add (codes are at most 5) and the sums are read back through
-    _BAND.  Below x = 256 (top 1) there are no bands: a band pays for its k
-    slices only when it holds many primes.
+    The primes up to x // top take one step each; the larger ones are walked
+    in bands (_band_add).  Such a p > sqrt(x) has no square multiple up to
+    x, and each j*p with j >= 2 is composite, so it holds a code 0..3
+    whatever the order.
     """
     _translate(table, _START)
     table[0] = 0
-    top = max(1, min(8, math.isqrt(x // 64)))
+    top = _band_top(x)
     long = x // (_CHUNK + 1)  # the primes with more than a chunk of multiples
     for p in _coded_primes(table, _UNWALKED, x // top + 1):
         if p <= long:  # a run of at most _CHUNK multiples at a time
@@ -187,16 +182,32 @@ def _code_table(table: bytearray, x: int) -> bytearray:
                 table[square::square] = table[square::square].translate(_SQUARE)
         else:
             table[p::p] = bytearray(x // p)
-    for k in range(1, top):
+    _band_add(table, table, _ACTION, _BAND, x)
+    return table
+
+
+def _band_top(x: int) -> int:
+    """The primes up to x // top take one step each, the rest go in bands."""
+    return max(1, min(8, math.isqrt(x // 64)))
+
+
+def _band_add(target: bytearray, source: bytearray, action: bytes, result: bytes, x: int) -> None:
+    """For each odd p in a band x // (k + 1) < p <= x // k, k < top =
+    min(8, isqrt(x // 64)): adds source[p], translated through ``action``, to
+    target[j*p] for j <= k, and translates the sums through ``result``.  A
+    band's odd n are one integer a _CHUNK at a time, added to the k strided
+    slices of their multiples (carry-free while each sum is below 256).  No
+    bands below x = 256 (top 1): a band pays for its k slices only when it
+    holds many primes."""
+    for k in range(1, _band_top(x)):
         for run in _runs((x // (k + 1) + 1) | 1, x // k + 1, 2):
             a, b = run.start, run.stop
             size = len(range(a, b, 2))
-            action = int.from_bytes(table[run].translate(_ACTION), "little")
-            for j in range(1, k + 1):
-                codes = slice(j * a, j * b, 2 * j)
-                total = int.from_bytes(table[codes], "little") + action
-                table[codes] = total.to_bytes(size, "little").translate(_BAND)
-    return table
+            addend = int.from_bytes(source[run].translate(action), "little")
+            for j in range(1, k + 1) if addend else ():
+                entries = slice(j * a, j * b, 2 * j)
+                total = int.from_bytes(target[entries], "little") + addend
+                target[entries] = total.to_bytes(size, "little").translate(result)
 
 
 def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
@@ -206,14 +217,16 @@ def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
 
 
 def code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:
-    """The membership flags of <P'> up to x, then the code table of <P>, from
-    one membership pass, each built when asked for.  <P'> is the n >= 1 that
-    no member prime divides, so its flags are sieved from the members alone,
-    held as an array, and share no builder with <P>, whose table is then
-    built on the marks."""
+    """The membership flags of <P'> up to x, then the code table of <P>, each
+    built when asked for.  <P'> is the n >= 1 that no member prime divides,
+    so its flags are sieved from the members alone, sharing no builder with
+    <P>.  A finite set's come from its list (a p > x zeroes an empty slice),
+    with no marks until the table of <P> needs them; any other set's member
+    primes up to x // top take one step each, and the larger ones go in bands."""
     check_enum_limit(x)
-    marks = _member_marks(spec, x)
-    members = array("I", _coded_primes(marks, _MEMBER))
+    finite = isinstance(spec, FinitePrimes)
+    marks = None if finite else _member_marks(spec, x)
+    members = spec.primes if finite else _coded_primes(marks, _MEMBER, x // _band_top(x) + 1)
     outside = bytearray(b"\x01") * (x + 1)
     outside[0] = 0
     for p in members:
@@ -221,10 +234,11 @@ def code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:
             _zero(outside, p, p)
         else:  # one run: the slice _zero would take, without its call
             outside[p::p] = bytearray(x // p)
-    del members
+    if not finite:
+        _band_add(outside, marks, _OUTSIDE_ACTION, _OUTSIDE_BAND, x)
     yield outside
     del outside  # gone before the table of <P> is built
-    yield _code_table(marks, x)
+    yield _code_table(_member_marks(spec, x) if finite else marks, x)
 
 
 def smooth_split(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:

@@ -281,10 +281,10 @@ def zorn_check(spec: PrimeSetSpec, x: int) -> ZornIdentity:
     """Exact integer identity: the count of the complementary semigroup <P'>
     up to x equals sum over d in <P>, d <= x of mu(d) * floor(x/d).
 
-    Both sides come from one membership pass but are counted independently:
-    the left on the flags of <P'>, sieved from the member primes alone (every
-    n >= 1 that none of them divides), the right on the code table of <P> in
-    floor blocks (``table_floor_sum``), or term-wise from the heap for finite P.
+    Both sides come from one membership pass, or from a finite P's list with
+    none, but are counted independently: the left on the flags of <P'>,
+    sieved from the member primes alone, the right on the code table of <P>
+    in floor blocks (``table_floor_sum``), or term-wise from the heap for finite P.
     """
     if x < 1:
         raise DomainError(f"zorn identity requires x >= 1, got {x}")

@@ -26,6 +26,7 @@ from musum.primes import (
     is_member,
     member_flags,
     primes_in,
+    render_spec,
 )
 from musum.semigroup import (
     _FLIP,
@@ -291,6 +292,55 @@ def test_complement_flags_match_the_replaced_code_table(index):
             assert zorn_check(spec, x).equal, x
 
 
+def _per_member_flags(spec, x):
+    """The flags of <P'> as code_tables sieved them before its large member
+    primes went in bands and finite sets skipped the sieve: one slice for
+    each member prime up to x."""
+    outside = bytearray(b"\x01") * (x + 1)
+    outside[0] = 0
+    for p in primes_in(spec, x):
+        outside[p::p] = bytes(x // p)
+    return outside
+
+
+# Finite sets: empty, 2 alone, and two that hold primes above x at many of
+# the x tested (every member, at the smallest x).
+_FINITE_EDGES = [FinitePrimes(()), FinitePrimes((2,)), FinitePrimes((2, 3, 97)),
+                 FinitePrimes((1009, 65537))]
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in SPEC_FORMS] + _FINITE_EDGES, ids=render_spec)
+def test_complement_flags_match_the_per_member_sieve(spec, monkeypatch):
+    assert next(code_tables(spec, 10**6)) == _per_member_flags(spec, 10**6)
+    for x in _SHORT_CHUNK_XS:
+        _set_chunk(monkeypatch, 1 + x % 3)
+        assert next(code_tables(spec, x)) == _per_member_flags(spec, x), x
+
+
+@pytest.mark.parametrize(
+    "route, sieves",
+    [(zorn_check, 0), (count_members_outside, 0), (lambda spec, x: gran_residual(spec, [x]), 1)],
+    ids=["zorn_check", "count_members_outside", "gran_residual"],
+)
+def test_finite_sets_sieve_only_for_the_table_of_p(route, sieves, monkeypatch):
+    # The flags of <P'> come from the list; only gran_residual reads the
+    # table of <P>, which takes the one membership pass.
+    calls = []
+
+    def counted(limit):
+        calls.append(limit)
+        return sieve(limit)
+
+    sieve = primes_module._prime_flags
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("musum") and (
+            getattr(module, "_prime_flags", None) is sieve
+        ):
+            monkeypatch.setattr(module, "_prime_flags", counted)
+    route(FinitePrimes((2, 3, 97)), 10**4)
+    assert len(calls) == sieves
+
+
 # Member flags to start codes, as the per-prime walk took them: 4 at a
 # member prime, 1 everywhere else.
 _FLAG_START = bytes((1, 4)) + bytes(254)
@@ -449,12 +499,13 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
 
 
 # The peak bytes per n of x that the MAX_ENUM_LIMIT comment states for each
-# route, plus 4 bytes per member prime where code_tables or smooth_split
-# keeps the members as one array, plus the few KB of Python objects and
-# chunks any call holds.  The exact sum runs at its own ceiling, with 0.4
-# bytes per n to spare for its integers.
-# The set is 1 mod 4, and all for a second member_table case, in which every
-# chunk of every band holds member primes.
+# route, plus the few KB of Python objects and chunks any call holds, plus
+# 4 bytes per member prime where smooth_split keeps the members as one
+# array, and for the <P'> routes, whose band chunks beside two arrays of x
+# bytes need more than those few KB.  The exact sum runs at its own
+# ceiling, with 0.4 bytes per n to spare for its integers.
+# The set is 1 mod 4, and all for a second member_table and zorn_check
+# case, in which every chunk of every band holds member primes.
 @pytest.mark.parametrize(
     "route, spec, x, per_n, per_member",
     [
@@ -462,13 +513,14 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
         (member_table, AllPrimes(), 10**6, 1.25, 0),
         (count_members_outside, ResiduePrimes(1, 4), 10**6, 2, 4),
         (zorn_check, ResiduePrimes(1, 4), 10**6, 2, 4),
+        (zorn_check, AllPrimes(), 10**6, 2, 4),
         (lambda spec, x: convergence_table(spec, [x]), ResiduePrimes(1, 4), 10**6, 1.25, 0),
         (lambda spec, x: gran_residual(spec, [x]), ResiduePrimes(1, 4), 10**6, 2, 4),
         (partial_sum, ResiduePrimes(1, 4), EXACT_CEILING, 1.4, 4),
         (lambda spec, x: partial_sum(spec, x, "float"), ResiduePrimes(1, 4), 10**6, 1.25, 0),
     ],
     ids=["member_table", "member_table_all", "count_members_outside", "zorn_check",
-         "convergence_table", "gran_residual", "partial_sum", "partial_sum_float"],
+         "zorn_check_all", "convergence_table", "gran_residual", "partial_sum", "partial_sum_float"],
 )
 def test_table_routes_stay_within_their_stated_memory(route, spec, x, per_n, per_member):
     members = len(primes_in(spec, x))
@@ -515,6 +567,7 @@ def test_table_routes_mark_members_once(route, monkeypatch):
 _TABLE_INTERNALS = {
     "_prime_flags", "_mark_members", "_member_marks", "_coded_primes", "_runs", "_translate",
     "_zero", "_code_table", "_SIGNED_MU", "_GENERATOR", "_START", "_FLIP", "_SQUARE",
+    "_band_add", "_ACTION", "_BAND", "_OUTSIDE_ACTION", "_OUTSIDE_BAND",
 }
 
 
