@@ -13,7 +13,9 @@ Exit codes:
 
 Output formats: ``plain`` targets humans; ``csv`` and ``json`` are the
 stable machine contracts (floats with 17 significant digits, exact rationals
-as "numerator/denominator", JSON keys in fixed order).  With identical
+as "numerator/denominator", JSON keys in fixed order).  Each format writes a
+value by one rule per type, CSV's with a few overridden, and refuses any other
+type; CSV rows and JSON tables share one row writer.  With identical
 arguments and seed the emitted bytes are identical run to run.
 
 The semiprime and Beurling subcommands report bound violations as results,
@@ -35,7 +37,7 @@ import sys
 from collections import deque
 from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import experiments, sweeps
@@ -56,37 +58,19 @@ EXIT_RESOURCE = 4
 FORMATS = ("plain", "csv", "json")
 
 
-def _scalar(value: Any) -> Any:
-    """The number rule every format shares: floats with 17 significant
-    digits, rationals as "numerator/denominator"; other values as given.
-    Ints are tested first, since a ``Fraction`` test is an ABC check."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return value
+# The text of a value by its exact type, so a bool is not taken for an int and
+# an unlisted type is refused.  JSON and plain text override CSV's rules.
+_CSV: dict[type, Callable[[Any], str]] = {
+    bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "",
+    int: str, str: str, float: "{:.17g}".format, Fraction: format_rational,
+}
+_JSON = {**_CSV, type(None): lambda _: "null", str: json.dumps,
+         Fraction: lambda q: f'"{format_rational(q)}"'}
+_PLAIN = {**_CSV, bool: str, type(None): str}
 
 
-def _json_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, float)):
-        return str(_scalar(value))
-    if isinstance(value, (str, Fraction)):
-        return json.dumps(_scalar(value))
+def _refused(value: Any) -> str:
     raise TypeError(f"cannot serialise {type(value).__name__}")
-
-
-def _csv_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    return str(_scalar(value))
 
 
 class Rows(NamedTuple):
@@ -109,8 +93,9 @@ class Report:
     writes ``payload`` (by default the pairs as one object) and CSV writes
     ``table`` (by default the pairs as one row).  ``pairs`` and the rows of
     a ``Rows`` may be iterators, written as they are drawn; iterated pairs
-    come with their keys already padded.  ``failure``, if set, is raised
-    once the report is written."""
+    come with their keys already padded.  Values are bool, None, int, float,
+    str or Fraction (JSON nests dicts, lists and tables too); any other type
+    raises TypeError.  ``failure``, if set, is raised once it is written."""
 
     pairs: Iterable[tuple[str, Any]]
     payload: dict | None = None
@@ -124,11 +109,13 @@ class Report:
             return chain(_json(payload), ("\n",))
         if fmt == "csv":
             columns, rows = self.table or _one_row(self.pairs)
-            lines = chain([",".join(columns)], (",".join(map(_csv_cell, row)) for row in rows))
+            template = ",".join(["%s"] * len(columns))
+            lines = chain([",".join(columns)], _lines(_CSV, template, len(columns), rows))
         else:
             pairs = self.pairs
             width = 0 if isinstance(pairs, Iterator) else max((len(k) for k, _ in pairs), default=0)
-            lines = (f"{k.ljust(width)}  {_scalar(v)}" for k, v in pairs)
+            rule = _PLAIN.get
+            lines = (f"{k.ljust(width)}  {rule(type(v), _refused)(v)}" for k, v in pairs)
         return chain(_joined("\n", lines), ("\n",))
 
 
@@ -138,13 +125,22 @@ def _joined(sep: str, pieces: Iterable[str]) -> Iterator[str]:
     return chain(islice(it, 1), map(sep.__add__, it))
 
 
+def _lines(rule: dict, template: str, width: int, rows: Iterable[tuple]) -> Iterator[str]:
+    """Each row of ``width`` cells written through ``template``, its cells
+    through ``rule`` a run of one type at a time."""
+    runs = groupby(chain.from_iterable(rows), type)
+    texts = chain.from_iterable(map(rule.get(kind, _refused), run) for kind, run in runs)
+    return map(template.__mod__, zip(*[texts] * width))
+
+
 def _json(value: Any) -> Iterator[str]:
     """The JSON text of ``value`` in pieces.  A ``Rows`` is an array of
     objects, each key encoded once; its rows and an object's values stream."""
     if isinstance(value, Rows):
-        keys = [f"{json.dumps(c)}:" for c in value.columns]
-        objects = ("{" + ",".join(map(str.__add__, keys, map(_json_cell, row))) + "}"
-                   for row in value.rows)
+        # A % in a key is escaped, so that only the cells fill the template.
+        keys = (json.dumps(c).replace("%", "%%") + ":%s" for c in value.columns)
+        template = "{" + ",".join(keys) + "}"
+        objects = _lines(_JSON, template, len(value.columns), value.rows)
         yield from chain(("[",), _joined(",", objects), ("]",))
     elif isinstance(value, dict):
         yield "{"
@@ -155,7 +151,7 @@ def _json(value: Any) -> Iterator[str]:
     elif isinstance(value, (list, tuple)):
         yield "[" + ",".join("".join(_json(item)) for item in value) + "]"
     else:
-        yield _json_cell(value)
+        yield _JSON.get(type(value), _refused)(value)
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:

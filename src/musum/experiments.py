@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from pathlib import Path
 
 from .errors import DomainError
@@ -143,7 +144,8 @@ def gran_residual(spec: PrimeSetSpec, x_grid: list[int]) -> list[GranResidualRow
     # keep the grid's own order and repeats.
     points = sorted(set(x_grid))
     tables = code_tables(spec, _checked_grid_max(x_grid))
-    count_terms = [members for members, _ in table_tallies(next(tables), points)]
+    ends = [x + 1 for x in points]
+    count_terms = list(accumulate(map(next(tables).count, repeat(1), [0, *ends], ends)))
     inside = next(tables)  # built once the flags of <P'> are gone
     rows = {}
     for x, count_term, (value, _), (_, mobius_total) in zip(

@@ -36,7 +36,6 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, starmap
 from operator import mul, truediv
@@ -249,8 +248,7 @@ def smooth_split(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
     check_enum_limit(x)
     marks = _member_marks(spec, x)
     root = math.isqrt(x)
-    members = array("I", _coded_primes(marks, _MEMBER))
-    del members[: bisect_right(members, root)]
+    members = array("I", _coded_primes(marks, _MEMBER, start=root + 1))
     _translate(marks, _PRIME, root + 1)
     return _code_table(marks, x), members
 
@@ -290,8 +288,8 @@ def _mobius_total(table: bytearray, start: int, stop: int) -> int:
 
 
 def table_tallies(table: bytearray, grid: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(#members, sum of mu) over 1 <= n <= x of a code table (or #members of
-    0/1 flags) at each x of an ascending grid, each segment counted once."""
+    """(#members, sum of mu) over 1 <= n <= x of a code table at each x of
+    an ascending grid, each segment counted once."""
     members = mobius_total = start = 0
     for x in grid:
         members += x + 1 - start - table.count(0, start, x + 1)  # table[0] == 0
@@ -426,7 +424,7 @@ def count_members_outside(spec: PrimeSetSpec, x: int) -> int:
     """#{n <= x : every prime factor of n lies outside P} -- the size of the
     complementary semigroup <P'> up to x, counted on its flags, sieved from
     the members of P, rather than by subtraction."""
-    return next(table_tallies(next(code_tables(spec, x)), (x,)))[0]
+    return next(code_tables(spec, x)).count(1)
 
 
 def density(spec: PrimeSetSpec, x: int) -> float:

@@ -60,7 +60,7 @@ from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_pr
 from .primes import member_primes
 from .semigroup import _distinct_prime_factors, _heap_stream, check_enum_limit, code_tables
 from .semigroup import member_table, mobius, smooth_split, squarefree_terms, table_count_squarefree
-from .semigroup import table_floor_sum, table_fsums, table_primes, table_runs, table_tallies
+from .semigroup import table_floor_sum, table_fsums, table_primes, table_runs
 from .semigroup import table_terms
 
 # Exact summation carries denominators that divide lcm(1..x); at x = 1e5
@@ -289,7 +289,7 @@ def zorn_check(spec: PrimeSetSpec, x: int) -> ZornIdentity:
     if x < 1:
         raise DomainError(f"zorn identity requires x >= 1, got {x}")
     tables = code_tables(spec, x)
-    lhs = next(table_tallies(next(tables), (x,)))[0]
+    lhs = next(tables).count(1)
     if isinstance(spec, FinitePrimes):
         rhs = sum(mu * (x // n) for n, mu in squarefree_terms(spec, x))
     else:

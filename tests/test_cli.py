@@ -303,6 +303,73 @@ class TestWriters:
         with pytest.raises(TypeError):
             self._json({"set": {1, 2}})
 
+    # Every kind in one table: bool beside int in "flag", and a different
+    # kind in each row of "value" and "mixed".
+    _COLUMNS = ("n", "flag", "value", "mixed")
+    _ROWS = [
+        (1, True, None, 0.1),
+        (2, 0, 0.5, "ab"),
+        (3, False, 'q"\\', Fraction(-3, 4)),
+        (4, 7, Fraction(6, 2), None),
+        (5, True, -(10**30), True),
+    ]
+
+    def _every_kind(self):
+        pairs = [(f"{c}@{row[0]}", v) for row in self._ROWS for c, v in zip(self._COLUMNS, row)]
+        table = cli.Rows(self._COLUMNS, iter(self._ROWS))
+        return cli.Report(pairs, {"rows": table}, table)
+
+    def test_every_kind_as_plain(self):
+        pairs = self._every_kind().pairs
+        width = max(len(k) for k, _ in pairs)
+        shown = {float: "{:.17g}".format, Fraction: lambda q: f"{q.numerator}/{q.denominator}"}
+        expected = "".join(f"{k.ljust(width)}  {shown.get(type(v), str)(v)}\n" for k, v in pairs)
+        assert "".join(self._every_kind().render("plain")) == expected
+        assert "flag@1   True\nvalue@1  None\nmixed@1  0.10000000000000001\n" in expected
+
+    def test_every_kind_as_csv(self):
+        assert "".join(self._every_kind().render("csv")) == (
+            "n,flag,value,mixed\n"
+            "1,true,,0.10000000000000001\n"
+            "2,0,0.5,ab\n"
+            '3,false,q"\\,-3/4\n'
+            "4,7,3/1,\n"
+            "5,true,-1000000000000000000000000000000,true\n"
+        )
+
+    def test_every_kind_as_json(self):
+        text = "".join(self._every_kind().render("json"))
+        assert text == (
+            '{"rows":['
+            '{"n":1,"flag":true,"value":null,"mixed":0.10000000000000001},'
+            '{"n":2,"flag":0,"value":0.5,"mixed":"ab"},'
+            '{"n":3,"flag":false,"value":"q\\"\\\\","mixed":"-3/4"},'
+            '{"n":4,"flag":7,"value":"3/1","mixed":null},'
+            '{"n":5,"flag":true,"value":-1000000000000000000000000000000,"mixed":true}'
+            ']}\n'
+        )
+        assert [r["mixed"] for r in json.loads(text)["rows"]] == [0.1, "ab", "-3/4", None, True]
+
+    def test_percent_in_column_names(self):
+        columns = ("100%", "%s", "a%%b", "%(n)s")
+        table = cli.Rows(columns, [(1, "x", 2.5, None)])
+        csv = "".join(cli.Report([("unused", 0)], table=table).render("csv"))
+        assert csv == "100%,%s,a%%b,%(n)s\n1,x,2.5,\n"
+        expected = {"rows": [dict(zip(columns, [1, "x", 2.5, None]))]}
+        assert self._json({"rows": table}) == json.dumps(expected, separators=(",", ":")) + "\n"
+
+    class _Count(int):
+        pass
+
+    @pytest.mark.parametrize("value", [{1, 2}, _Count(3)], ids=["set", "int_subclass"])
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_unlisted_type_is_refused_in_every_format(self, value, fmt):
+        table = cli.Rows(("n", "value"), [(1, 2), (2, value)])
+        for report in (cli.Report([("n", 1), ("value", value)], {"value": value}),
+                       cli.Report([("value", value)], {"rows": table}, table)):
+            with pytest.raises(TypeError, match="cannot serialise"):
+                "".join(report.render(fmt))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

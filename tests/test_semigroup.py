@@ -3,6 +3,8 @@ import math
 import random
 import sys
 import tracemalloc
+from array import array
+from bisect import bisect_right
 from itertools import compress, starmap, zip_longest
 from operator import add, eq, itemgetter, sub
 from pathlib import Path
@@ -25,6 +27,7 @@ from musum.primes import (
     _prime_flags,
     is_member,
     member_flags,
+    parse_spec,
     primes_in,
     render_spec,
 )
@@ -315,6 +318,23 @@ def test_complement_flags_match_the_per_member_sieve(spec, monkeypatch):
     for x in _SHORT_CHUNK_XS:
         _set_chunk(monkeypatch, 1 + x % 3)
         assert next(code_tables(spec, x)) == _per_member_flags(spec, x), x
+
+
+def _members_cut_at_the_root(spec, x):
+    """The members above isqrt(x) as smooth_split took them before it listed
+    only those: every member prime up to x, then those up to isqrt(x) deleted."""
+    marks = primes_module._member_marks(spec, x)
+    members = array("I", primes_module._coded_primes(marks, primes_module._MEMBER))
+    del members[: bisect_right(members, math.isqrt(x))]
+    return members
+
+
+@pytest.mark.parametrize("text", ["all", "residue:1 mod 4", "finite:2,3,101", "interval:150..1e9",
+                                  "logfrac:t=1,w=0.1,s=0"])
+def test_smooth_split_lists_the_members_above_the_root(text):
+    spec = parse_spec(text)
+    for x in [*range(2001), 10**5]:
+        assert smooth_split(spec, x)[1] == _members_cut_at_the_root(spec, x), x
 
 
 @pytest.mark.parametrize(
