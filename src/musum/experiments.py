@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import DomainError
 from .primes import AllPrimes, IntervalPrimes, PrimeSetSpec, render_spec
 from .semigroup import _heap_stream, code_tables, member_table, squarefree_terms, table_fsums
-from .semigroup import table_primes, table_tallies, tally
+from .semigroup import table_mobius_sum, table_primes, tally
 from .sums import SumReport, _report, _validate_mode_and_x
 
 # Euler-Mascheroni constant, 20 decimal digits (OEIS A001620).
@@ -147,9 +147,10 @@ def gran_residual(spec: PrimeSetSpec, x_grid: list[int]) -> list[GranResidualRow
     ends = [x + 1 for x in points]
     count_terms = list(accumulate(map(next(tables).count, repeat(1), [0, *ends], ends)))
     inside = next(tables)  # built once the flags of <P'> are gone
+    mobius_totals = accumulate(map(table_mobius_sum, repeat(inside), [0, *ends], ends))
     rows = {}
-    for x, count_term, (value, _), (_, mobius_total) in zip(
-        points, count_terms, table_fsums(inside, points), table_tallies(inside, points)
+    for x, count_term, (value, _), mobius_total in zip(
+        points, count_terms, table_fsums(inside, points), mobius_totals
     ):
         lhs = x * value
         mertens_term = (1.0 - EULER_MASCHERONI) * mobius_total

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, compress
 from typing import Iterator
 
@@ -328,17 +328,13 @@ def _mp_context(prec: int):
     return ctx
 
 
-def _logfrac_distance(spec: LogFracPrimes, p: int):
-    """Distance from t*ln(p)/(2*pi) - shift to the nearest integer (mpmath)."""
+def _logfrac_member(spec: LogFracPrimes, p: int) -> bool:
+    """The reference log-fraction test at LOGFRAC_PRECISION_BITS: the distance
+    from t*ln(p)/(2*pi) - shift to the nearest integer, in mpmath."""
     mp = _mp_context(LOGFRAC_PRECISION_BITS)
     y = mp.mpf(spec.t) * mp.log(p) / (2 * mp.pi) - mp.mpf(spec.shift)
     frac = y - mp.floor(y)
-    return min(frac, 1 - frac)
-
-
-def _logfrac_member(spec: LogFracPrimes, p: int) -> bool:
-    """The reference log-fraction test at LOGFRAC_PRECISION_BITS."""
-    return _logfrac_distance(spec, p) <= spec.width
+    return min(frac, 1 - frac) <= spec.width
 
 
 def is_member(spec: PrimeSetSpec, p: int) -> bool:
@@ -540,7 +536,8 @@ def _parse_real(token: str, pos: int, what: str) -> float:
     return value
 
 
-def _parse_prime_list(body: str, offset: int, what: str) -> tuple[int, ...]:
+def _parse_prime_list(body: str, offset: int) -> tuple[int, ...]:
+    """The listed primes, sorted and without repeats, each checked once."""
     if body == "":
         return ()
     primes = []
@@ -551,7 +548,7 @@ def _parse_prime_list(body: str, offset: int, what: str) -> tuple[int, ...]:
             raise SpecParseError(f"{value} is not prime", pos)
         primes.append(value)
         pos += len(token) + 1
-    return tuple(primes)
+    return tuple(sorted(set(primes)))
 
 
 def parse_spec(text: str) -> PrimeSetSpec:
@@ -562,10 +559,11 @@ def parse_spec(text: str) -> PrimeSetSpec:
     if not sep:
         raise SpecParseError(f"unrecognised prime-set form {text!r}", 0)
     offset = len(head) + 1
-    if head == "finite":
-        return FinitePrimes(_parse_prime_list(body, offset, "finite"))
-    if head == "cofinite":
-        return CofinitePrimes(_parse_prime_list(body, offset, "cofinite"))
+    if head in ("finite", "cofinite"):
+        # The list is checked as it is parsed, so __post_init__'s check is skipped.
+        spec = object.__new__(FinitePrimes if head == "finite" else CofinitePrimes)
+        object.__setattr__(spec, fields(spec)[0].name, _parse_prime_list(body, offset))
+        return spec
     if head == "interval":
         lo_text, sep2, hi_text = body.partition("..")
         if not sep2:

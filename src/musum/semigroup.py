@@ -13,16 +13,17 @@ independent backends produce the stream (n, mu(n)) in strictly increasing n:
   and chunk of a band, however many primes the chunk holds.  Every run
   longer than a chunk is taken a chunk at a time, so no temporary grows
   with x.
-  Every count over <P> is a ``bytes.count`` on the table, and every term is
-  read through one reader, ``table_runs``: it translates each run of the
-  table once, into mu(n) as a signed byte, and ``itertools.compress`` picks
-  out the run's members and their mu(n) at C speed.  A table built up to x
-  answers every bound below x through its prefix.  ``table_fsums`` gives
-  the correctly rounded float sums of mu(n)/n at each point of an ascending
-  grid: ``math.fsum`` over ``map(truediv, ...)`` of each run's mu(n) and n,
-  so no Python frame runs per term.  Between grid points the exact prefix
-  rides along as two doubles, so each segment is read twice, not once per
-  later point;
+  Every count over <P> is a ``bytes.count`` on the table: the sum of mu(n)
+  over a segment, ``table_mobius_sum``, is three of them, one per code with
+  mu +-1.  Every term is read through one reader, ``table_runs``: it
+  translates each run of the table once, into mu(n) as a signed byte, and
+  ``itertools.compress`` picks out the run's members and their mu(n) at C
+  speed.  A table built up to x answers every bound below x through its
+  prefix.  ``table_fsums`` gives the correctly rounded float sums of
+  mu(n)/n at each point of an ascending grid: ``math.fsum`` over
+  ``map(truediv, ...)`` of each run's mu(n) and n, so no Python frame runs
+  per term.  Between grid points the exact prefix rides along as two
+  doubles, so each segment is read twice, not once per later point;
 * ``heap``  (finite P only) generalises the classic merge generation of
   Hamming numbers: each member is extended by generators whose index is at
   least the largest one already used, so every member appears exactly once.
@@ -39,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, starmap
 from operator import mul, truediv
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError, ResourceError, UsageError
 from .primes import _CHUNK, _MEMBER, _PRIME, MAX_SIEVE_LIMIT, MR_PROVEN_BOUND, FinitePrimes
@@ -282,20 +283,9 @@ def table_primes(table: bytearray, x: int) -> Iterator[int]:
     return _coded_primes(table, _GENERATOR, x + 1)
 
 
-def _mobius_total(table: bytearray, start: int, stop: int) -> int:
+def table_mobius_sum(table: bytearray, start: int, stop: int) -> int:
     """The sum of mu(n) over the members start <= n < stop of a code table."""
     return table.count(1, start, stop) - table.count(2, start, stop) - table.count(4, start, stop)
-
-
-def table_tallies(table: bytearray, grid: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(#members, sum of mu) over 1 <= n <= x of a code table at each x of
-    an ascending grid, each segment counted once."""
-    members = mobius_total = start = 0
-    for x in grid:
-        members += x + 1 - start - table.count(0, start, x + 1)  # table[0] == 0
-        mobius_total += _mobius_total(table, start, x + 1)
-        yield members, mobius_total
-        start = x + 1
 
 
 def _quotients(table: bytearray, start: int, stop: int, extra: tuple) -> Iterator[float]:
@@ -342,7 +332,7 @@ def table_floor_sum(table: bytearray, x: int) -> int:
     runs = table_runs(table, 0, s + 1, True)
     total = sum(sum(map(mul, mus, map(x.__floordiv__, ns))) for ns, mus in runs)
     for q in range(1, x // (s + 1) + 1):
-        total += q * _mobius_total(table, max(s, x // (q + 1)) + 1, x // q + 1)
+        total += q * table_mobius_sum(table, max(s, x // (q + 1)) + 1, x // q + 1)
     return total
 
 
@@ -412,7 +402,8 @@ def tally(spec: PrimeSetSpec, x: int) -> tuple[int, int]:
         assert isinstance(spec, FinitePrimes)
         mus = [mu for _, mu in _heap_stream(spec.primes, x, False)]
         return len(mus), sum(mus)
-    return next(table_tallies(member_table(spec, x), (x,)))
+    table = member_table(spec, x)
+    return x + 1 - table.count(0), table_mobius_sum(table, 0, x + 1)  # table[0] == 0
 
 
 def count_members(spec: PrimeSetSpec, x: int) -> int:

@@ -136,59 +136,52 @@ def generate_instance(kind: str, rng: random.Random) -> dict:
 
 
 def check_instance(instance: dict) -> dict | None:
-    """Run one serialized instance; returns a failure record or None."""
+    """Run one serialized instance; returns a failure record or None.  Each
+    kind but zorn gives a report, its bound label and maybe a twin: the set
+    whose plain partial sum must equal the report, and the reason if not."""
     kind = instance["kind"]
+    twin = None
     if kind == "theorem1":
         report = partial_sum(parse_spec(instance["set"]), instance["x"], mode="exact")
-        if not report.bound_ok:
-            return {**instance, "reason": "partial sum escaped the unit bound"}
-        return None
-    if kind == "zorn":
+        label = "partial"
+    elif kind == "zorn":
         result = zorn_check(parse_spec(instance["set"]), instance["x"])
-        if not result.equal:
-            return {
-                **instance,
-                "reason": f"counting identity split: lhs={result.lhs} rhs={result.rhs}",
-            }
-        return None
-    if kind == "mock":
+        split = f"counting identity split: lhs={result.lhs} rhs={result.rhs}"
+        return None if result.equal else {**instance, "reason": split}
+    elif kind == "mock":
         x = instance["x"]
-        op = instance["op"]
-        if op == "coprime":
+        label = instance["op"]
+        if label == "coprime":
             report = partial_sum_coprime(instance["P"], x, mode="exact")
-            twin = partial_sum(spec_of_coprime_modulus(instance["P"]), x, mode="exact")
-            if report.value_exact != twin.value_exact:
-                return {**instance, "reason": "coprime sum disagrees with its semigroup form"}
-        elif op == "divisors":
+            twin = (spec_of_coprime_modulus(instance["P"]),
+                    "coprime sum disagrees with its semigroup form")
+        elif label == "divisors":
             report = partial_sum_divisors(instance["N"], x, mode="exact")
         else:
             report = partial_sum_shifted(instance["m"], x, mode="exact")
             if instance["m"] == 1:
-                twin = partial_sum(AllPrimes(), x, mode="exact")
-                if report.value_exact != twin.value_exact:
-                    return {**instance, "reason": "shift m=1 disagrees with the plain sum"}
-        if not report.bound_ok:
-            return {**instance, "reason": f"{op} sum escaped the unit bound"}
-        return None
-    if kind == "weights":
+                twin = AllPrimes(), "shift m=1 disagrees with the plain sum"
+    elif kind == "weights":
         try:
             assignments = {int(p): Fraction(v) for p, v in instance["weights"].items()}
         except (TypeError, ValueError, ZeroDivisionError):
             raise UsageError(f"weights must map primes to fractions: {instance!r}") from None
         a = WeightFunction(assignments, default_value=instance["default"])
         report = weighted_partial_sum(a, instance["x"], mode="exact")
-        if not report.bound_ok:
-            return {**instance, "reason": "weighted sum escaped the unit bound"}
+        label = "weighted"
         if all(v in (0, 1) for v in assignments.values()):
             if instance["default"] == 0:
                 spec = FinitePrimes(tuple(p for p, v in assignments.items() if v == 1))
             else:
                 spec = CofinitePrimes(tuple(p for p, v in assignments.items() if v == 0))
-            twin = partial_sum(spec, instance["x"], mode="exact")
-            if report.value_exact != twin.value_exact:
-                return {**instance, "reason": "extreme weights disagree with the plain sum"}
-        return None
-    raise UsageError(f"unknown sweep kind {kind!r}")
+            twin = spec, "extreme weights disagree with the plain sum"
+    else:
+        raise UsageError(f"unknown sweep kind {kind!r}")
+    if not report.bound_ok:
+        return {**instance, "reason": f"{label} sum escaped the unit bound"}
+    if twin and report.value_exact != partial_sum(twin[0], instance["x"], mode="exact").value_exact:
+        return {**instance, "reason": twin[1]}
+    return None
 
 
 def run_sweep(kind: str, trials: int, seed: int) -> SweepResult:

@@ -213,11 +213,6 @@ class TestGrammar:
     def test_empty_finite_list(self):
         assert parse_spec("finite:") == FinitePrimes(())
 
-    def test_composite_reports_message_and_position(self):
-        with pytest.raises(SpecParseError, match="4 is not prime") as err:
-            parse_spec("finite:4")
-        assert err.value.position == 7
-
     def test_bad_width_rejected(self):
         with pytest.raises(SpecParseError, match="width"):
             parse_spec("logfrac:t=1.0,w=0.7,s=0.0")
@@ -230,6 +225,38 @@ class TestGrammar:
         with pytest.raises(SpecParseError) as err:
             parse_spec("finite:2,x")
         assert err.value.position == 9
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("finite:4", "4 is not prime", 7),
+        ("finite:9,4", "9 is not prime", 7),
+        ("finite:4,x", "4 is not prime", 7),
+        ("cofinite:2,1", "1 is not prime", 11),
+    ])
+    def test_composite_reports_message_and_position(self, text, message, position):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_each_listed_prime_is_tested_once(self, monkeypatch):
+        calls = []
+        test = primes_module.is_prime
+        monkeypatch.setattr(primes_module, "is_prime", lambda n: calls.append(n) or test(n))
+
+        def tested(make):
+            del calls[:]
+            return make(), len(calls)
+
+        finite, count = tested(lambda: parse_spec("finite:2,3,5,3"))
+        assert count == 4
+        cofinite, count = tested(lambda: parse_spec("cofinite:7,2"))
+        assert count == 2
+        direct, count = tested(lambda: FinitePrimes((2, 3, 5)))
+        assert count == 3
+        assert (finite, hash(finite)) == (direct, hash(direct))
+        assert (cofinite, hash(cofinite)) == (CofinitePrimes((2, 7)), hash(CofinitePrimes((2, 7))))
+        with pytest.raises(DomainError):  # direct construction keeps its check
+            FinitePrimes((4,))
 
     @settings(max_examples=200, deadline=None)
     @given(_spec_strategy())

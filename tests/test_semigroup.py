@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 from array import array
 from bisect import bisect_right
-from itertools import compress, starmap, zip_longest
+from itertools import accumulate, compress, starmap, zip_longest
 from operator import add, eq, itemgetter, sub
 from pathlib import Path
 
@@ -45,6 +45,7 @@ from musum.semigroup import (
     mobius,
     smooth_split,
     table_fsums,
+    table_mobius_sum,
     table_primes,
     table_terms,
 )
@@ -271,6 +272,17 @@ class TestCodeTableAgainstOracle:
         assert _stream(spec, x, backend="sieve") == members
         assert count_members(spec, x) == len(members)
         assert count_members_outside(spec, x) == len(_oracle(index, x, True))
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_FORMS)))
+def test_table_mobius_sum_on_every_segment(index):
+    spec, pred = SPEC_FORMS[index]
+    table = member_table(spec, 300)
+    mus = dict(semigroup_members(pred, 300))
+    below = list(accumulate((mus.get(n, 0) for n in range(301)), initial=0))
+    for a in range(302):
+        for b in range(a, 302):
+            assert table_mobius_sum(table, a, b) == below[b] - below[a], (a, b)
 
 
 def _replaced_complement_table(spec, x):
@@ -581,23 +593,28 @@ def test_table_routes_mark_members_once(route, monkeypatch):
     assert len(calls) == 1
 
 
-# Sieving, marking and table building stay behind semigroup, and so do the
-# translations of the codes: the sums and the experiments read tables only
-# through the public readers, they do not build or decode them.
-_TABLE_INTERNALS = {
-    "_prime_flags", "_mark_members", "_member_marks", "_coded_primes", "_runs", "_translate",
-    "_zero", "_code_table", "_SIGNED_MU", "_GENERATOR", "_START", "_FLIP", "_SQUARE",
-    "_band_add", "_ACTION", "_BAND", "_OUTSIDE_ACTION", "_OUTSIDE_BAND",
+# Sieving, marking and table building stay behind primes and semigroup, and
+# so do the translations of the codes: the other modules read tables only
+# through the public readers.  No other module imports an underscore name
+# from the two, apart from these.
+_PRIVATE_IMPORTS = {
+    "sums.py": {"_heap_stream", "_distinct_prime_factors"},
+    "experiments.py": {"_heap_stream"},
+    "zeta.py": {"_mp_context"},
 }
+_PACKAGE = Path(primes_module.__file__).parent
 
 
-@pytest.mark.parametrize("name", ["sums.py", "experiments.py"])
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in _PACKAGE.glob("*.py") if path.name not in ("primes.py", "semigroup.py")))
 def test_table_internals_stay_behind_semigroup(name):
-    source = Path(primes_module.__file__).with_name(name)
+    source = _PACKAGE / name
     imported = {
         alias.name
         for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] in ("primes", "semigroup")
         for alias in node.names
+        if alias.name.startswith("_")
     }
-    assert not imported & _TABLE_INTERNALS
+    assert imported <= _PRIVATE_IMPORTS.get(name, set())

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from musum import cli
+from musum import cli, sweeps
 from musum.errors import DomainError, UsageError
 from musum.experiments import (
     EULER_MASCHERONI,
@@ -47,7 +48,7 @@ from musum.sums import (
     weighted_partial_sum,
     zorn_check,
 )
-from musum.sweeps import generate_instance
+from musum.sweeps import check_instance, generate_instance
 
 from oracles import (
     factorize,
@@ -657,3 +658,78 @@ def test_float_certificate_bounds_the_true_error(kind):
         assert approx.term_count == exact.term_count, instance
         error = abs(Fraction(approx.value_float) - exact.value_exact)
         assert error <= Fraction(approx.float_error_bound), instance
+
+
+
+# The verdicts of sweeps.check_instance, forced by patching the sums entry
+# point it calls to return its real report with fields replaced.
+def _falsify(monkeypatch, name, escape=False, shift=0):
+    """Patch sweeps' ``name`` to move its real exact value by ``shift`` and,
+    with ``escape``, to put it outside the unit bound."""
+    real = getattr(sweeps, name)
+
+    def falsified(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return replace(report, value_exact=report.value_exact + shift,
+                       bound_ok=report.bound_ok and not escape)
+
+    monkeypatch.setattr(sweeps, name, falsified)
+
+
+_WEIGHTED = {"kind": "weights", "default": 0, "weights": {"2": "1/2", "3": "1"}, "x": 60}
+_EXTREME = {"kind": "weights", "default": 1, "weights": {"2": "0", "3": "1"}, "x": 60}
+# name: (instance, the entry point it calls, its bound label, its twin reason)
+_VERDICT_CASES = {
+    "theorem1-finite": ({"kind": "theorem1", "set": "finite:2,3", "x": 50}, "partial_sum",
+                        "partial", None),
+    "theorem1-cofinite": ({"kind": "theorem1", "set": "cofinite:5", "x": 50}, "partial_sum",
+                          "partial", None),
+    "coprime": ({"kind": "mock", "op": "coprime", "P": 6, "x": 50}, "partial_sum_coprime",
+                "coprime", "coprime sum disagrees with its semigroup form"),
+    "divisors": ({"kind": "mock", "op": "divisors", "N": 12, "x": 50}, "partial_sum_divisors",
+                 "divisors", None),
+    "shifted": ({"kind": "mock", "op": "shifted", "m": 3, "x": 50}, "partial_sum_shifted",
+                "shifted", None),
+    "shifted-m1": ({"kind": "mock", "op": "shifted", "m": 1, "x": 50}, "partial_sum_shifted",
+                   "shifted", "shift m=1 disagrees with the plain sum"),
+    "weights": (_WEIGHTED, "weighted_partial_sum", "weighted", None),
+    "extreme-default1": (_EXTREME, "weighted_partial_sum", "weighted",
+                         "extreme weights disagree with the plain sum"),
+    "extreme-default0": ({**_EXTREME, "default": 0}, "weighted_partial_sum", "weighted",
+                         "extreme weights disagree with the plain sum"),
+}
+
+
+@pytest.mark.parametrize("instance,name,label,twin", _VERDICT_CASES.values(),
+                         ids=_VERDICT_CASES)
+class TestSweepVerdicts:
+    def test_bound_reason(self, monkeypatch, instance, name, label, twin):
+        assert check_instance(instance) is None
+        _falsify(monkeypatch, name, escape=True)
+        reason = f"{label} sum escaped the unit bound"
+        assert check_instance(instance) == {**instance, "reason": reason}
+
+    def test_twin_reason(self, monkeypatch, instance, name, label, twin):
+        # A sum without a twin is checked against the bound alone.
+        _falsify(monkeypatch, name, shift=Fraction(1, 7))
+        assert check_instance(instance) == (twin and {**instance, "reason": twin})
+
+    def test_bound_before_twin(self, monkeypatch, instance, name, label, twin):
+        _falsify(monkeypatch, name, escape=True, shift=Fraction(1, 7))
+        reason = f"{label} sum escaped the unit bound"
+        assert check_instance(instance) == {**instance, "reason": reason}
+
+
+def test_sweep_verdict_zorn_split(monkeypatch):
+    instance = {"kind": "zorn", "set": "residue:1 mod 4", "x": 100}
+    real = zorn_check(parse_spec(instance["set"]), 100)
+    assert check_instance(instance) is None
+    monkeypatch.setattr(sweeps, "zorn_check", lambda spec, x: replace(
+        zorn_check(spec, x), lhs=real.lhs + 1, equal=False))
+    reason = f"counting identity split: lhs={real.lhs + 1} rhs={real.rhs}"
+    assert check_instance(instance) == {**instance, "reason": reason}
+
+
+def test_sweep_verdict_unknown_kind_reads_no_other_field():
+    with pytest.raises(UsageError, match="unknown sweep kind 'nope'"):
+        check_instance({"kind": "nope"})
