@@ -47,7 +47,8 @@ from .semigroup import EnumerationOptions, density, enumerate_terms
 from .sums import (WeightFunction, euler_product, euler_product_partial, format_rational,
                    partial_sum, partial_sum_coprime, partial_sum_divisors, partial_sum_shifted,
                    weighted_partial_sum, zorn_check)
-from .zeta import blowup_scan, gs_constant, log_identity_residual, zeta_p
+from .zeta import (DEFAULT_PATHOLOGICAL_WIDTH, DEFAULT_PRIME_LIMIT, blowup_scan, gs_constant,
+                   log_identity_residual, zeta_p)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -228,9 +229,11 @@ def _parse_weights(text: str) -> dict[int, Fraction]:
         if not sep:
             raise UsageError(f"weights must look like P=VALUE, got {token!r}")
         try:
-            weights[int(key)] = Fraction(value)
+            prime, weight = int(key), Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad weight assignment {token!r}") from None
+        if weights.setdefault(prime, weight) is not weight:
+            raise UsageError(f"weight for {prime} given twice")
     return weights
 
 
@@ -513,8 +516,8 @@ _COMMANDS = {
         _arg("--t", type=float, required=True),
         _arg("--shift", type=float, required=True),
         _arg("--eps", required=True, help="comma-separated descending eps values"),
-        _arg("--width", type=float, default=0.1),
-        _prime_limit(10**6))),
+        _arg("--width", type=float, default=DEFAULT_PATHOLOGICAL_WIDTH),
+        _prime_limit(DEFAULT_PRIME_LIMIT))),
     "gs-const": _Command(_cmd_gs_const, "Sharp lower-bound constant for the partial sums, "
                          "(1 - 2 ln(1+sqrt(e)) + 4 I) ln 2 = -0.4553..., via "
                          "adaptive Simpson quadrature."),

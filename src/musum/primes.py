@@ -460,19 +460,14 @@ def _logfrac_marks(spec: LogFracPrimes, flags: bytearray) -> int:
     for low, high in windows:
         if low > limit:
             break
-        if low > start:
-            if inside:
-                _translate(flags, _MARK, start, 1, low)
-        else:
-            low = start
-        if high > limit:
-            high = limit
-        if low <= high and flags.find(1, low, high + 1) >= 0:
+        if inside:  # an empty or reversed range translates nothing
+            _translate(flags, _MARK, start, 1, low)
+        low, high = max(low, start), min(high, limit)
+        if flags.find(1, low, high + 1) >= 0:  # -1 when low > high
             fallbacks += _logfrac_walk(spec, flags, _coded_primes(flags, _PRIME, high + 1, low))
-        if high >= start:
-            start = high + 1
+        start = max(start, high + 1)
         inside = not inside
-    if inside and start <= limit:
+    if inside:
         _translate(flags, _MARK, start, 1, limit + 1)
     return fallbacks
 
@@ -520,12 +515,6 @@ _INT_RE = re.compile(r"-?\d+$")
 _RESIDUE_RE = re.compile(r"(-?\d+) mod (\d+)$")
 
 
-def _parse_int(token: str, pos: int, what: str) -> int:
-    if not _INT_RE.match(token):
-        raise SpecParseError(f"expected an integer {what}, got {token!r}", pos)
-    return int(token)
-
-
 def _parse_real(token: str, pos: int, what: str) -> float:
     try:
         value = float(token)
@@ -543,7 +532,9 @@ def _parse_prime_list(body: str, offset: int) -> tuple[int, ...]:
     primes = []
     pos = offset
     for token in body.split(","):
-        value = _parse_int(token, pos, "prime")
+        if not _INT_RE.match(token):
+            raise SpecParseError(f"expected an integer prime, got {token!r}", pos)
+        value = int(token)
         if not is_prime(value):
             raise SpecParseError(f"{value} is not prime", pos)
         primes.append(value)

@@ -68,22 +68,17 @@ class SweepResult:
         return not self.failures
 
 
-def _random_finite_spec(rng: random.Random) -> FinitePrimes:
-    size = rng.randrange(0, 9)
-    return FinitePrimes(tuple(rng.sample(_PRIMES_TO_100, size)))
-
-
-def _random_cofinite_spec(rng: random.Random) -> CofinitePrimes:
-    size = rng.randrange(0, 6)
-    return CofinitePrimes(tuple(rng.sample(_PRIMES_TO_100, size)))
+def _random_primes(rng: random.Random, most: int) -> tuple[int, ...]:
+    """Between 0 and ``most`` distinct primes below 100."""
+    return tuple(rng.sample(_PRIMES_TO_100, rng.randrange(0, most + 1)))
 
 
 def _random_zorn_spec(rng: random.Random):
     roll = rng.random()
     if roll < 0.35:
-        return _random_finite_spec(rng)
+        return FinitePrimes(_random_primes(rng, 8))
     if roll < 0.60:
-        return _random_cofinite_spec(rng)
+        return CofinitePrimes(_random_primes(rng, 5))
     if roll < 0.70:
         return AllPrimes()
     if roll < 0.80:
@@ -96,14 +91,13 @@ def _random_zorn_spec(rng: random.Random):
 
 
 def generate_instance(kind: str, rng: random.Random) -> dict:
-    if kind == "theorem1":
-        if rng.random() < 5 / 6:
-            spec = _random_finite_spec(rng)
+    if kind in ("theorem1", "zorn"):
+        if kind == "zorn":
+            spec = _random_zorn_spec(rng)
+        elif rng.random() < 5 / 6:
+            spec = FinitePrimes(_random_primes(rng, 8))
         else:
-            spec = _random_cofinite_spec(rng)
-        return {"kind": kind, "set": render_spec(spec), "x": rng.randrange(1, _MAX_X + 1)}
-    if kind == "zorn":
-        spec = _random_zorn_spec(rng)
+            spec = CofinitePrimes(_random_primes(rng, 5))
         return {"kind": kind, "set": render_spec(spec), "x": rng.randrange(1, _MAX_X + 1)}
     if kind == "mock":
         op = rng.choice(("coprime", "divisors", "shifted"))
@@ -229,7 +223,7 @@ def _check_fields(instance) -> None:
             raise UsageError(f"mock instance has an unknown op: {instance!r}")
         fields = {**fields, _MOCK_OPERANDS[instance["op"]]: int}
     for name, kind in fields.items():
-        if not isinstance(instance.get(name), kind):
+        if type(instance.get(name)) is not kind:  # a bool is not taken for an int
             raise UsageError(f"sweep instance field {name!r} must be {kind.__name__}: {instance!r}")
 
 

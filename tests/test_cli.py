@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -20,10 +22,11 @@ from musum.cli import (
     EXIT_VERIFICATION,
     run,
 )
+from musum.errors import UsageError
 from musum.primes import parse_spec
 from musum.semigroup import MAX_ENUM_LIMIT, EnumerationOptions, enumerate_terms
 from musum.sums import SumReport, ZornIdentity
-from musum.sweeps import SWEEP_KINDS, replay_instances, run_sweep
+from musum.sweeps import SWEEP_KINDS, generate_instance, replay_instances, run_sweep
 
 
 def _run(capsys, *argv):
@@ -67,6 +70,11 @@ class TestSumCommands:
                             "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["value_exact"] == "23/35"
+
+    @pytest.mark.parametrize("weights", ["2=1/2,2=1", "2=1,02=0"])
+    def test_weight_given_twice_exits_one(self, capsys, weights):
+        code, out, err = _run(capsys, "weighted", "--weights", weights, "--x", "10")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: weight for 2 given twice\n")
 
     def test_semiprime_bound_violation_is_not_a_failure(self, capsys):
         code, out, _ = _run(capsys, "semiprime", "--x", "10", "--format", "json")
@@ -425,6 +433,37 @@ class TestSweeps:
         replay = replay_instances(result.instances)
         assert replay.passed == 30
         assert replay.failures == result.failures == []
+
+    def test_seeded_instances_are_pinned(self):
+        # Seeded sweeps must not change: one digest over 2000 instances of
+        # every kind at each seed, hashed in SWEEP_KINDS order.
+        digest = hashlib.sha256()
+        for kind in SWEEP_KINDS:
+            for seed in (0, 1, 7, 42, 2**63 - 1):
+                rng = random.Random(seed)
+                dump = json.dumps([generate_instance(kind, rng) for _ in range(2000)])
+                digest.update(dump.encode())
+        assert digest.hexdigest() == (
+            "0c6780c82b209301b5777833197be187566f9a9588ad3c7011deca26b9c08293")
+
+    @pytest.mark.parametrize("instance", [
+        {"kind": "theorem1", "set": "all", "x": True},
+        {"kind": "zorn", "set": "all", "x": False},
+        {"kind": "weights", "default": True, "weights": {}, "x": 5},
+        {"kind": "mock", "op": "coprime", "P": False, "x": 5},
+        {"kind": "mock", "op": "divisors", "N": True, "x": 5},
+        {"kind": "mock", "op": "shifted", "m": True, "x": 5},
+    ])
+    def test_replay_refuses_a_bool_for_an_int(self, instance):
+        with pytest.raises(UsageError, match="must be int"):
+            replay_instances([instance])
+
+    def test_replay_of_a_bool_x_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "replay.json"
+        path.write_text('[{"kind": "theorem1", "set": "all", "x": true}]')
+        code, out, err = _run(capsys, "sweep", "--kind", "theorem1", "--replay", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: sweep instance field 'x' must be int: ")
 
 
 class TestVerificationFailure:

@@ -2,18 +2,21 @@
 
 ``pyproject.toml`` says ``requires-python = ">=3.10"``, while the suite may
 run on a newer interpreter, so a newer-only construct would pass every other
-test.  These checks read the sources instead of running them."""
+test.  These checks read the sources instead of running them: the package's,
+and the suite's own, since the suite is what checks a 3.10 install."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-_SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "musum").glob("*.py"))
+_ROOT = Path(__file__).resolve().parents[1]
+_SOURCES = sorted((_ROOT / "src" / "musum").glob("*.py")) + sorted((_ROOT / "tests").glob("*.py"))
 
 
 def test_every_module_is_checked():
-    assert {"cli.py", "primes.py", "semigroup.py", "sums.py"} <= {p.name for p in _SOURCES}
+    names = {p.name for p in _SOURCES}
+    assert {"cli.py", "primes.py", "semigroup.py", "sums.py", "test_sources.py"} <= names
 
 
 @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
