@@ -37,7 +37,8 @@ more than that walk over every prime, every prime takes it.
 ``member_flags`` reads 0/1 flags off the marks and ``member_primes`` the
 members themselves; the code table of ``semigroup`` is built on the same
 array.  Every strided or long run of the array is read and written _CHUNK
-entries at a time, so no temporary grows with the limit.
+entries at a time, so no temporary grows with the limit.  Listings read
+long runs off the mod-30 wheel, making ints only for members (_coded_primes).
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import functools
 import math
 import re
 from dataclasses import dataclass, fields
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import add
 from typing import Iterator
 
 from .errors import DomainError, ResourceError, SpecParseError
@@ -61,6 +63,8 @@ MAX_SIEVE_LIMIT = 10**8
 # writes: each temporary of the sieve, the marking, the code table's walk
 # and its readers holds at most a chunk, whatever the limit.
 _CHUNK = 1 << 14
+
+_SPOKES = (1, 7, 11, 13, 17, 19, 23, 29)  # the units mod 30, which hold every prime from 7 up
 
 # Translations of the marks, which hold 1 at a prime, 2 at a member prime
 # and 0 elsewhere: _PRIME gives 1 at every prime, _MEMBER 1 at a member
@@ -216,15 +220,38 @@ def _prime_flags(limit: int) -> bytearray:
 def _coded_primes(array: bytearray, codes: bytes, stop: int | None = None,
                   start: int = 0) -> Iterator[int]:
     """The primes start <= p < stop (by default, all of the array) whose
-    entry ``codes`` maps to nonzero, ascending: 2 if it is one, then the odd
-    p a run at a time.  Each run is translated only when the walk reaches
-    it, so a caller may change the entries of composites ahead of the walk,
-    and of each prime at its turn."""
+    entry ``codes`` maps to nonzero, ascending; ``codes`` maps 0 and every
+    composite's entry to 0.  A listing of at most one run of odd n (2 *
+    _CHUNK n) reads 2, then the odd n of that run.  A longer one reads 2, 3
+    and 5, then blocks of max(1, _CHUNK // 128) turns of the mod-30 wheel:
+    strided slices gather a block's 8 spokes into one selector over a tuple
+    of offsets, so only members become ints.  Each call builds that tuple,
+    which no table then outlives, and which a single run would not repay.
+    Each run or block is translated when the walk reaches it, so a caller
+    may change composites' entries ahead of the walk, and a prime's at its turn."""
     stop = len(array) if stop is None else stop
+    if stop - start > 2 * _CHUNK:
+        head = tuple(p for p in (2, 3, 5) if start <= p < stop and codes[array[p]])
+        return chain.from_iterable(chain((head,), _wheel_blocks(array, codes, max(start, 7), stop)))
     head = (2,) if start <= 2 < stop and codes[array[2]] else ()
     odd = (compress(range(run.start, run.stop, 2), array[run].translate(codes))
            for run in _runs(max(start | 1, 3), stop, 2))
     return chain.from_iterable(chain((head,), odd))
+
+
+def _wheel_blocks(array: bytearray, codes: bytes, start: int, stop: int) -> Iterator[Iterator[int]]:
+    """The listing of _coded_primes from p >= 7, block by block."""
+    span = 30 * max(1, _CHUNK // 128)
+    offsets = tuple(chain.from_iterable(zip(*(range(spoke, span, 30) for spoke in _SPOKES))))
+    for base in range(start - start % 30, stop, span):
+        block = array[base : min(base + span, stop)]
+        if base < start:  # the first turn's n below start, read as 0
+            block[: start - base] = bytes(start - base)
+        block += bytes(-len(block) % 30)  # the last turn, padded with 0
+        selector = bytearray(len(block) // 30 * 8)
+        for k, spoke in enumerate(_SPOKES):
+            selector[k::8] = block[spoke::30]
+        yield map(add, compress(offsets, selector.translate(codes)), repeat(base))
 
 
 class PrimeSetSpec:
@@ -460,12 +487,15 @@ def _logfrac_marks(spec: LogFracPrimes, flags: bytearray) -> int:
     for low, high in windows:
         if low > limit:
             break
+        if high < start:  # wholly below start: only its endpoint's parity counts
+            inside = not inside
+            continue
         if inside:  # an empty or reversed range translates nothing
             _translate(flags, _MARK, start, 1, low)
         low, high = max(low, start), min(high, limit)
         if flags.find(1, low, high + 1) >= 0:  # -1 when low > high
             fallbacks += _logfrac_walk(spec, flags, _coded_primes(flags, _PRIME, high + 1, low))
-        start = max(start, high + 1)
+        start = high + 1
         inside = not inside
     if inside:
         _translate(flags, _MARK, start, 1, limit + 1)

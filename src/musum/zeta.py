@@ -303,7 +303,7 @@ def log_identity_residual(spec: PrimeSetSpec, sigma: float, prime_limit: int) ->
     _require_right_of_one(sigma)
     _require_finite("sigma", sigma)
     _require_prime_limit(prime_limit)
-    powers = (p ** -sigma for p in member_primes(spec, prime_limit))
+    powers = map(pow, member_primes(spec, prime_limit), repeat(-sigma))
     return math.fsum(-math.log1p(-z) - z for z in powers)
 
 

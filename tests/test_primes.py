@@ -1,4 +1,5 @@
 import bisect
+import functools
 import math
 import tracemalloc
 from itertools import compress
@@ -20,6 +21,7 @@ from musum.primes import (
     is_member,
     is_prime,
     member_flags,
+    member_primes,
     parse_spec,
     primes_in,
     render_spec,
@@ -27,6 +29,7 @@ from musum.primes import (
 )
 from musum import primes as primes_module
 from musum.primes import _MEMBER, _PRIME, _coded_primes, _logfrac_marks, _member_marks, _prime_flags
+from musum.semigroup import _GENERATOR, member_table
 
 from oracles import odd_wheel_sieve, plain_sieve_flags, trial_division_primes
 
@@ -149,18 +152,18 @@ class TestPrimesIn:
         assert primes_in(CofinitePrimes(()), 10**5) == primes_in(AllPrimes(), 10**5)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        AllPrimes(),
-        FinitePrimes((2, 5, 11)),
-        CofinitePrimes((2, 7)),
-        IntervalPrimes(4.5, 60.0),
-        ResiduePrimes(3, 4),
-        LogFracPrimes(2.0, 0.2, 0.25),
-    ],
-    ids=render_spec,
-)
+# One set of each form, listed at every limit.
+_LISTED_SPECS = [
+    AllPrimes(),
+    FinitePrimes((2, 5, 11)),
+    CofinitePrimes((2, 7)),
+    IntervalPrimes(4.5, 60.0),
+    ResiduePrimes(3, 4),
+    LogFracPrimes(2.0, 0.2, 0.25),
+]
+
+
+@pytest.mark.parametrize("spec", _LISTED_SPECS, ids=render_spec)
 def test_odd_only_listing_matches_compress_over_every_n(spec):
     # The listings step over odd n only after 2; the reference reads every n.
     for limit in [*range(2001), 10**6]:
@@ -171,6 +174,53 @@ def test_odd_only_listing_matches_compress_over_every_n(spec):
         assert list(_coded_primes(_member_marks(spec, limit), _MEMBER)) == want, limit
         if isinstance(spec, AllPrimes):
             assert sieve_primes(limit).primes == tuple(want), limit
+
+
+# Every array and translation that primes are listed from: the sieve flags,
+# the marks of each form, and a code table's generators (as table_primes
+# lists them).
+_LISTINGS = [
+    ("prime", _prime_flags, _PRIME),
+    *((render_spec(spec), functools.partial(_member_marks, spec), _MEMBER)
+      for spec in _LISTED_SPECS),
+    ("generator", functools.partial(member_table, ResiduePrimes(1, 4)), _GENERATOR),
+]
+
+
+@pytest.mark.parametrize("build, codes", [listing[1:] for listing in _LISTINGS],
+                         ids=[listing[0] for listing in _LISTINGS])
+def test_wheel_listing_matches_compress_over_every_n(build, codes, monkeypatch):
+    # A listing of more than one run of odd n (2 * _CHUNK n) reads the wheel
+    # in blocks of max(1, _CHUNK // 128) turns from the turn that holds
+    # start.  Chunks of 1 to 3 send all but the shortest listings through
+    # one-turn blocks.  Each stop up to 2001 is read off one array, whose
+    # entries past the stop must not be listed: from a start that cycles
+    # over the first 67 n of the last 700 before the stop (0..66 below
+    # 700), and from both sides of the one-run threshold.  At 1e6, with
+    # the real chunk, the stops lie on both sides of the threshold and of
+    # the first block edge past it, and at and just below the end.
+    def check(array, pairs):
+        for start, stop in pairs:
+            want = list(compress(range(start, stop), array[start:stop].translate(codes)))
+            assert list(_coded_primes(array, codes, stop, start)) == want, (start, stop)
+
+    chunk = primes_module._CHUNK
+    array = build(2000)
+    for stop in range(2002):
+        monkeypatch.setattr(primes_module, "_CHUNK", 1 + stop % 3)
+        run = 2 * primes_module._CHUNK
+        start = max(stop - 700, 0) + stop // 3 % 67
+        check(array, [(start, stop), (max(stop - run, 0), stop), (max(stop - run - 1, 0), stop)])
+    assert list(_coded_primes(array, codes)) == list(compress(range(2001), array.translate(codes)))
+    monkeypatch.setattr(primes_module, "_CHUNK", chunk)
+    array = build(10**6)
+    span = 30 * (chunk // 128)
+    pairs = [(0, 10**6 + 1), (8, 10**6), (500_012, 10**6 - 1)]
+    for start in (0, 7, 8, 38):
+        edge = start - start % 30 + span * (2 * chunk // span + 1)
+        pairs += [(start, start + 2 * chunk + k) for k in (0, 1)]
+        pairs += [(start, edge + k) for k in (-1, 0, 1)]
+    check(array, pairs)
 
 
 def _spec_strategy():
@@ -351,6 +401,20 @@ class TestMemberFlags:
         assert got == [2, 3, 1000003]
         assert peak < 10**6
         assert primes_in(FinitePrimes((2, 3, 1000003)), 1000002) == [2, 3]
+
+    def test_listing_stays_within_the_sieve_bound(self):
+        # The wheel's block, selector and offsets are made per call, of a
+        # size set by _CHUNK, so the members drained at 1e6 cost no more
+        # than the marks and a few chunks.
+        limit = 10**6
+        tracemalloc.start()
+        try:
+            for _ in member_primes(AllPrimes(), limit):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * limit
 
     def test_primes_in_shares_the_guard(self):
         with pytest.raises(ResourceError):

@@ -37,7 +37,7 @@ from musum.zeta import (
     _reference_phases,
 )
 
-from oracles import basel_sum_oracle, trial_division_primes
+from oracles import basel_sum_oracle, odd_wheel_sieve, trial_division_primes
 
 
 class TestZetaEvaluation:
@@ -177,13 +177,13 @@ class TestLogIdentityResidual:
             log_identity_residual(AllPrimes(), 1.0, 100)
 
     @pytest.mark.parametrize("limit", [10**3, 10**5])
-    @pytest.mark.parametrize("spec", [AllPrimes(), ResiduePrimes(1, 4), FinitePrimes((2, 3, 5))],
-                             ids=["all", "residue", "finite"])
+    @pytest.mark.parametrize("spec", _REAL_AXIS_SETS, ids=render_spec)
     def test_streamed_members_keep_the_bits_of_the_listed_ones(self, spec, limit):
         # The residual and the truncated Euler product iterate the members
         # and take p ** -sigma once per prime; the expressions they replace
-        # listed the members first and took the power twice.
-        members = primes_in(spec, limit)
+        # listed the members first and took the power twice.  The members
+        # here are listed by the oracle sieve and decided one at a time.
+        members = [p for p in odd_wheel_sieve(limit) if is_member(spec, p)]
         product = 1.0
         for p in members:
             product *= 1.0 - 1.0 / p
