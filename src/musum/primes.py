@@ -528,11 +528,14 @@ def _logfrac_walk(spec: LogFracPrimes, flags: bytearray, primes: Iterator[int]) 
 
 def member_primes(spec: PrimeSetSpec, limit: int) -> Iterator[int]:
     """The members of the set that are <= limit, ascending, as an iterator
-    over the marks; a finite set's are read off its list, without sieving.
+    over the marks; a finite set's are read off its list, without sieving,
+    and every prime off the sieve flags, without marks.
     The limit is checked at the call."""
     _check_sieve_limit(limit)
     if isinstance(spec, FinitePrimes):
         return (p for p in spec.primes if p <= limit)
+    if isinstance(spec, AllPrimes):
+        return _coded_primes(_prime_flags(limit), _PRIME)
     return _coded_primes(_member_marks(spec, limit), _MEMBER)
 
 

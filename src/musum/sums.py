@@ -20,13 +20,17 @@ behind the proof of the bound:
 
 where P' is the complement of P in the primes.
 
-Exact mode adds the terms as unreduced numerator/denominator pairs over a
-binary merge tree, built as a stream on a stack of at most log2(#terms)
-partial sums: each merge of two neighbouring sums divides out only the gcd
-of their denominators, so every denominator is the lcm of those below it,
-and one ``fractions.Fraction`` reduces the total at the end.  Exact
-``partial_sum`` of an infinite set feeds it few terms, by the largest-prime
-split of Meissel-Lehmer prime counting: with s = isqrt(x), every squarefree
+Exact mode adds the terms over one common denominator, the product C of
+the primes up to s = isqrt(x) (times the weights' denominators for
+``weighted_partial_sum``).  A squarefree n <= x has at most one prime
+above s, so each term a/b is a * (C // g) over C * r with g = gcd(b, C) and
+r = b // g either 1 or that prime: the terms land in one integer bucket per
+r, and no gcd is taken of a large integer.  The buckets are then added by
+gcd-free binary splitting (Haible and Papanikolaou 1998), as a stream on a
+stack of at most log2(#buckets) unreduced partial sums, and one
+``fractions.Fraction`` reduces the total at the end.  Exact
+``partial_sum`` of an infinite set feeds the stack few terms, by the
+largest-prime split of Meissel-Lehmer prime counting: every squarefree
 n <= x whose largest prime p exceeds s is p*m with m <= x/p < p, so
 
     S_P(x) = sum over n in <P cap [2, s]>, n <= x of mu(n)/n
@@ -34,7 +38,8 @@ n <= x whose largest prime p exceeds s is p*m with m <= x/p < p, so
 
 The first sum is one integer over the product D of the member primes up to
 s, the sum of mu(n) * (D // n) read off the s-smooth table at C speed; each
-prime above s adds one term, with S_P(x // p) read off the same table.
+prime above s adds one term over D * p, with S_P(x // p) read off the same
+table.
 Float mode uses ``math.fsum`` over every term, which is correctly rounded
 whatever their order, so its error is far below the documented certificate
 ``4 * x * ulp(1)``.  For an infinite set the terms are read off the code
@@ -51,6 +56,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -66,7 +72,11 @@ from .semigroup import table_terms
 # Exact summation carries denominators that divide lcm(1..x); at x = 1e5
 # that is ~43000 decimal digits, so exact mode refuses larger x.  Finite
 # prime sets are not exempted even though their term count is tiny; the
-# ceiling is a blunt contract shared with the CLI.
+# ceiling is a blunt contract shared with the CLI.  The term-wise routes
+# (coprime, shifted, weighted, divisors, finite sets) hold one bucket per
+# prime in (isqrt(x), x] that their terms reach: a dict entry, the prime
+# and a numerator of about 1.44 * isqrt(x) bits, about 140 bytes each: a
+# tracemalloc peak of about 1.5 MB at this ceiling, the table included.
 EXACT_CEILING = 10**5
 
 # One rounding per term, with generous slack; fsum actually stays within one
@@ -132,15 +142,32 @@ def _validate_mode_and_x(mode: str, x: int) -> None:
     check_enum_limit(x)
 
 
-def _merge_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+def _merge_sum(pairs: Iterable[tuple[int, int]], common: int) -> tuple[int, int, int]:
     """(num, den, count): the sum num/den of a stream of ``count`` pairs
-    (a, b) with b > 0, unreduced, with den the lcm of their b.
+    (a, b) with b > 0, unreduced, with den = common * the product of the
+    distinct parts r = b // gcd(b, common), each pair added to r's bucket.
+    Exact for any ``common``; fast when every r is 1 or a prime, as for a
+    squarefree n <= x over the primes up to isqrt(x).
+    """
+    parts: dict[int, int] = {}
+    count = 0
+    for a, b in pairs:
+        count += 1
+        g = math.gcd(b, common)
+        r = b // g
+        parts[r] = parts.get(r, 0) + a * (common // g)
+    num, den = _tree_sum(zip(parts.values(), parts))
+    return num, common * den, count
 
-    The pairs are merged on a stack in binary-counter order: after k pairs
+
+def _tree_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(num, den): the sum num/den of a stream of pairs (a, b) with b > 0,
+    unreduced, with den the product of every b.
+
+    The pairs are added on a stack in binary-counter order: after k pairs
     the stack holds one partial sum per set bit i of k, the sum of 2**i
-    consecutive pairs, so at most log2(k) + 1 partial sums are alive.  A
-    merge of a/b and c/d divides out only gcd(b, d), so every denominator
-    is the lcm of the denominators below it; numerators are never reduced.
+    consecutive pairs, so at most log2(k) + 1 partial sums are alive.  Each
+    step is gcd-free: a/b + c/d = (a*d + c*b) / (b*d).
     """
     stack: list[tuple[int, int]] = []
     count = 0
@@ -149,17 +176,20 @@ def _merge_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
         k = count
         while not k & 1:
             a, b = stack.pop()
-            g = math.gcd(b, den)
-            b //= g
-            num, den = a * (den // g) + num * b, b * den
+            num, den = a * den + num * b, b * den
             k >>= 1
         stack.append((num, den))
     num, den = 0, 1
     for a, b in reversed(stack):
-        g = math.gcd(b, den)
-        b //= g
-        num, den = a * (den // g) + num * b, b * den
-    return num, den, count
+        num, den = a * den + num * b, b * den
+    return num, den
+
+
+@lru_cache(maxsize=None)
+def _primorial(s: int) -> int:
+    """The product of the primes up to s: the common denominator of the
+    exact routes at every x with isqrt(x) = s, at most 317 of them."""
+    return math.prod(member_primes(AllPrimes(), s))
 
 
 def _exact_report(params: str, x: int, num: int, den: int, count: int) -> SumReport:
@@ -172,9 +202,12 @@ def _float_report(params: str, x: int, value: float, count: int) -> SumReport:
     return SumReport(params, x, "float", None, value, bound, count, abs(value) <= 1.0 + bound)
 
 
-def _report(params: str, x: int, mode: str, terms: Iterable[Term]) -> SumReport:
+def _report(params: str, x: int, mode: str, terms: Iterable[Term], scale: int = 1) -> SumReport:
+    """The report of a stream of terms (num, den), each den a squarefree
+    n <= x times a divisor of ``scale``."""
     if mode == "exact":
-        return _exact_report(params, x, *_merge_sum((a, b) for a, b in terms if a))
+        common = _primorial(math.isqrt(x)) * scale
+        return _exact_report(params, x, *_merge_sum(((a, b) for a, b in terms if a), common))
     count = 0
 
     def quotients():
@@ -224,9 +257,10 @@ def _split_sum(table: bytearray, large: Sequence[int], x: int) -> tuple[int, int
     count = table_count_squarefree(table, 0, x + 1)
     count += sum(map(counts.__getitem__, map(x.__floordiv__, large)))
     prefixes = map(values.__getitem__, map(x.__floordiv__, large))
-    pairs = ((-a, p * b) for p, (a, b) in zip(large, prefixes) if a)
-    num, den, _ = _merge_sum(chain([(smooth, common)], pairs))
-    return num, den, count
+    # smooth / common - a / (p * b) for each p, with every b dividing common.
+    pairs = ((-a * (common // b), p) for p, (a, b) in zip(large, prefixes) if a)
+    num, den = _tree_sum(chain([(smooth, 1)], pairs))
+    return num, common * den, count
 
 
 def partial_sum_coprime(P: int, x: int, mode: str = "exact") -> SumReport:
@@ -347,16 +381,23 @@ class WeightFunction:
 
 
 def _weighted_terms(pairs: Iterable[tuple[int, int]], a: WeightFunction) -> Iterator[Term]:
-    # Only the finitely many assigned primes can scale a term, so
-    # divisibility by each of them is checked instead of factorising n.
-    assigned = sorted(a.assignments.items())
+    # Only the finitely many assigned primes can scale a term: u = gcd(n, A)
+    # is the product of those dividing n, and u's factor, the products of
+    # their weights' numerators and denominators, is made once per u seen.
+    assigned = [(p, w.numerator, w.denominator) for p, w in a.assignments.items()]
+    product = math.prod(a.assignments)
+    factors: dict[int, tuple[int, int]] = {}
     for n, mu in pairs:
-        num, den = mu, n
-        for p, w in assigned:
-            if n % p == 0:
-                num *= w.numerator
-                den *= w.denominator
-        yield num, den
+        u = math.gcd(n, product)
+        factor = factors.get(u)
+        if factor is None:
+            num = den = 1
+            for p, p_num, p_den in assigned:
+                if u % p == 0:
+                    num *= p_num
+                    den *= p_den
+            factor = factors[u] = num, den
+        yield mu * factor[0], n * factor[1]
 
 
 def weighted_partial_sum(a: WeightFunction, x: int, mode: str = "exact") -> SumReport:
@@ -371,7 +412,9 @@ def weighted_partial_sum(a: WeightFunction, x: int, mode: str = "exact") -> SumR
     # Unassigned primes weigh the default: with 0 only the semigroup of the
     # assigned support contributes, with 1 every squarefree n <= x does.
     support = FinitePrimes(tuple(a.assignments)) if a.default_value == 0 else AllPrimes()
-    return _report(repr(a), x, mode, _weighted_terms(squarefree_terms(support, x), a))
+    terms = _weighted_terms(squarefree_terms(support, x), a)
+    scale = math.prod(w.denominator for w in a.assignments.values())
+    return _report(repr(a), x, mode, terms, scale)
 
 
 def spec_of_coprime_modulus(P: int) -> PrimeSetSpec:

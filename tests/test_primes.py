@@ -608,3 +608,17 @@ class TestMemberFlagsOfEveryPrime:
         for limit in [*range(2001), 4 * chunk - 1, 4 * chunk + 1]:
             assert member_flags(AllPrimes(), limit) == _prime_flags(limit), limit
         assert calls == []
+
+    def test_are_listed_off_the_sieve_flags(self, monkeypatch):
+        # member_primes of every prime reads the sieve flags through _PRIME,
+        # and gives the list the marks give through _MEMBER, with no pass
+        # that translates the flags into marks.
+        calls = []
+        translate = primes_module._translate
+        monkeypatch.setattr(primes_module, "_translate",
+                            lambda *args: calls.append(args) or translate(*args))
+        for limit in [*range(2001), 10**6]:
+            marks = list(_coded_primes(_member_marks(AllPrimes(), limit), _MEMBER))
+            calls.clear()
+            assert list(member_primes(AllPrimes(), limit)) == marks, limit
+            assert calls == [], limit

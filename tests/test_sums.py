@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -53,6 +54,7 @@ from musum.sweeps import check_instance, generate_instance
 from oracles import (
     factorize,
     mobius_bruteforce,
+    odd_wheel_sieve,
     partial_sum_bruteforce,
     semigroup_members,
     totient_table,
@@ -448,8 +450,9 @@ class TestSumsAgainstOracle:
             assert row.mertens_term == (1.0 - EULER_MASCHERONI) * mobius_total
 
 
-# The merge tree in exact mode against the term-by-term Fraction sum it
-# replaced, which survives here only as the oracle.
+# The exact accumulator (buckets by the part of each denominator outside
+# a common one, then a gcd-free tree) against the term-by-term Fraction sum
+# it replaced, which survives here only as the oracle.
 
 
 def _termwise(pairs):
@@ -472,20 +475,47 @@ def _check_exact(report, pairs):
 _STREAM_LENGTHS = sorted({0, 1, 2, 3} | {2**k + d for k in range(2, 8) for d in (-1, 0, 1)})
 
 
+def _leftover_product(pairs, common):
+    """common times the product of the distinct parts b // gcd(b, common):
+    the denominator the accumulator leaves unreduced."""
+    return common * math.prod({b // math.gcd(b, common) for _, b in pairs})
+
+
 @pytest.mark.parametrize("length", _STREAM_LENGTHS)
 def test_merge_tree_stream_lengths(length):
     rng = random.Random(length)
     pairs = [(rng.choice((-3, -1, 1, 2)), rng.randrange(1, 60)) for _ in range(length)]
-    num, den, count = _merge_sum(iter(pairs))
+    common = 2 * 3 * 5 * 7  # the primes up to isqrt(59)
+    num, den, count = _merge_sum(iter(pairs), common)
     assert Fraction(num, den) == _termwise(pairs)
     assert count == length
-    # Each merge divides out the gcd of its two denominators, and only that.
-    assert den == math.lcm(*(b for _, b in pairs))
+    # One bucket per leftover part, added with no gcd at all.
+    assert den == _leftover_product(pairs, common)
     # Zero terms are skipped before the stack and not counted.
     terms = []
     for num, den in pairs:
         terms += [(0, den), (num, den)]
     _check_exact(_report("stream", 2 * length, "exact", iter(terms)), pairs)
+
+
+# Denominators no exact route makes: prime powers, whose leftover part
+# shares primes with a common of squarefree primes, composite leftovers
+# (11 * 13, 17**2, 4 * 1009) and a large prime, each drawn many times.
+_ODD_DENOMINATORS = (1, 2, 4, 8, 9, 27, 12, 143, 289, 1009, 4 * 1009, 30030, 2**61 - 1)
+
+
+@pytest.mark.parametrize("common", [1, 2, 6, 30, 4 * 27, 2**10 * 3**5, 30030])
+@pytest.mark.parametrize("seed", range(6))
+def test_merge_sum_matches_the_fraction_sum(common, seed):
+    assert _merge_sum(iter(()), common) == (0, common, 0)
+    rng = random.Random(seed)
+    for length in (1, 2, 5, 64, 300):
+        pairs = [(rng.choice((-1, 1)) * rng.randrange(1, 10 ** rng.randrange(1, 40)),
+                  rng.choice(_ODD_DENOMINATORS)) for _ in range(length)]
+        num, den, count = _merge_sum(iter(pairs), common)
+        assert Fraction(num, den) == _termwise(pairs)
+        assert count == length
+        assert den == _leftover_product(pairs, common)
 
 
 @pytest.mark.parametrize("x", [0, 1, 2, 3, 30, 257, 2000])
@@ -536,6 +566,31 @@ def test_merge_tree_weighted(default, assignments):
 def test_merge_tree_semiprime(x):
     want = [(1, n) for n in range(1, x + 1) if mobius_bruteforce(n) == 1]
     _check_exact(semiprime_sum(x), want)
+
+
+# The cost that the EXACT_CEILING comment states for the term-wise exact
+# routes: the table their stream is read from, 1.25 bytes per n, plus one
+# bucket per prime in (isqrt(x), x], each a dict entry, the prime and a
+# numerator of about 1.44 * isqrt(x) bits, about 140 bytes at the ceiling.
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda x: partial_sum_coprime(30, x),
+        lambda x: partial_sum_shifted(6, x),
+        lambda x: weighted_partial_sum(WeightFunction({}, default_value=1), x),
+    ],
+    ids=["coprime", "shifted", "weighted_default_1"],
+)
+def test_termwise_routes_stay_within_their_stated_memory(route):
+    x = EXACT_CEILING
+    large = len(odd_wheel_sieve(x)) - len(odd_wheel_sieve(math.isqrt(x)))
+    tracemalloc.start()
+    try:
+        route(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * x + 160 * large + 64 * 1024
 
 
 # Exact partial_sum of an infinite set takes the largest-prime split; the
