@@ -58,13 +58,13 @@ from .primes import PrimeSetSpec, _coded_primes, _member_marks, _runs, _translat
 # marks a chunk at a time: 2.09 at 1e6, 201 MB at 1e8; a finite set's flags
 # need no marks.  The flags are gone before the table of <P> is built.  Exact
 # partial_sum of an infinite set reads smooth_split: 1 per n plus 4 per
-# member prime, and its merge's integers, 2.09 per n at the exact ceiling of
-# 1e5 for 1 mod 4.  The term-wise exact routes of sums (coprime, shifted,
-# weighted) read one table, and their buckets add one int per prime in
-# (sqrt(x), x], about 140 bytes each: a peak of about 1.5 MB at 1e5, where
-# the table takes 0.1 MB.  The one reader, table_runs, holds per run the run's
-# codes and its signed mask: two chunks, within the chunks above.
-# The ceiling also makes table_fsums exact: each term
+# member prime, and its prefix and tree integers: 1.95 per n at the exact
+# ceiling of 1e5 for 1 mod 4, 2.94 for all.  The term-wise exact routes of
+# sums (coprime, shifted, weighted) read one table, and their buckets add one
+# int per prime in (sqrt(x), x], about 140 bytes each: a peak of about 1.5 MB
+# at 1e5, where the table takes 0.1 MB.  The one reader, table_runs, holds
+# per run the run's codes and its signed mask: two chunks, within the chunks
+# above.  The ceiling also makes table_fsums exact: each term
 # +-1/n with n <= 10**8 < 2**27 rounds to a multiple of 2**-79, so every
 # prefix S of rounded terms is one too, and |S| < H(10**8) < 20 puts
 # S - fsum(S) within ulp/2 <= 2**-48 of 0: at most 31 bits, which a double

@@ -36,10 +36,10 @@ n <= x whose largest prime p exceeds s is p*m with m <= x/p < p, so
     S_P(x) = sum over n in <P cap [2, s]>, n <= x of mu(n)/n
              - sum over p in P, s < p <= x of S_P(x // p) / p.
 
-The first sum is one integer over the product D of the member primes up to
-s, the sum of mu(n) * (D // n) read off the s-smooth table at C speed; each
-prime above s adds one term over D * p, with S_P(x // p) read off the same
-table.
+The first sum is one integer over C, the sum of mu(n) * (C // n) read off
+the s-smooth table at C speed; each prime above s adds one term over C * p,
+with C * S_P(x // p) read off a list of running sums of the same integers
+up to s.
 Float mode uses ``math.fsum`` over every term, which is correctly rounded
 whatever their order, so its error is far below the documented certificate
 ``4 * x * ulp(1)``.  For an infinite set the terms are read off the code
@@ -66,8 +66,7 @@ from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_pr
 from .primes import member_primes
 from .semigroup import _distinct_prime_factors, _heap_stream, check_enum_limit, code_tables
 from .semigroup import member_table, mobius, smooth_split, squarefree_terms, table_count_squarefree
-from .semigroup import table_floor_sum, table_fsums, table_primes, table_runs
-from .semigroup import table_terms
+from .semigroup import table_floor_sum, table_fsums, table_runs, table_terms
 
 # Exact summation carries denominators that divide lcm(1..x); at x = 1e5
 # that is ~43000 decimal digits, so exact mode refuses larger x.  Finite
@@ -109,6 +108,12 @@ class SumReport:
     float_error_bound: float
     term_count: int
     bound_ok: bool
+
+    def __repr__(self) -> str:
+        # int's str refuses more than 4300 digits; format_rational does not.
+        value = self.value_exact
+        cells = {**vars(self), "value_exact": value if value is None else format_rational(value)}
+        return f"SumReport({', '.join(f'{k}={v!r}' for k, v in cells.items())})"
 
 
 @dataclass(frozen=True)
@@ -242,24 +247,21 @@ def _split_sum(table: bytearray, large: Sequence[int], x: int) -> tuple[int, int
     table of the isqrt(x)-smooth members and the member primes above
     isqrt(x); count is the number of squarefree members up to x."""
     s = math.isqrt(x)
-    # S_P(v) as (num, lcm of denominators) and its term count, 0 <= v <= s.
-    values, counts, num, den = [(0, 1)], [0], 0, 1
-    mu_of = dict(table_terms(table, s, True))
+    common = _primorial(s)
+    # common * S_P(v) and its term count, 0 <= v <= s, as running sums in place;
+    # a v with no term shares the int before it (at 1e5, 40 ints for 1 mod 4).
+    prefix, counts = [0] * (s + 1), [0] * (s + 1)
+    for n, mu in table_terms(table, s, True):
+        prefix[n], counts[n] = mu * (common // n), 1
     for v in range(1, s + 1):
-        if v in mu_of:
-            g = math.gcd(den, v)
-            num, den = num * (v // g) + mu_of[v] * (den // g), den * (v // g)
-        values.append((num, den))
-        counts.append(counts[-1] + (v in mu_of))
-    common = math.prod(table_primes(table, s))
-    runs = table_runs(table, 0, x + 1, True)
-    smooth = sum(sum(map(mul, mus, map(common.__floordiv__, ns))) for ns, mus in runs)
+        prefix[v] = prefix[v] + prefix[v - 1] if prefix[v] else prefix[v - 1]
+        counts[v] += counts[v - 1]
+    runs = table_runs(table, s + 1, x + 1, True)
+    smooth = prefix[s] + sum(sum(map(mul, mus, map(common.__floordiv__, ns))) for ns, mus in runs)
     count = table_count_squarefree(table, 0, x + 1)
     count += sum(map(counts.__getitem__, map(x.__floordiv__, large)))
-    prefixes = map(values.__getitem__, map(x.__floordiv__, large))
-    # smooth / common - a / (p * b) for each p, with every b dividing common.
-    pairs = ((-a * (common // b), p) for p, (a, b) in zip(large, prefixes) if a)
-    num, den = _tree_sum(chain([(smooth, 1)], pairs))
+    prefixes = map(prefix.__getitem__, map(x.__floordiv__, large))
+    num, den = _tree_sum(chain([(smooth, 1)], ((-a, p) for p, a in zip(large, prefixes) if a)))
     return num, common * den, count
 
 
@@ -339,10 +341,7 @@ def euler_product(spec: PrimeSetSpec) -> Fraction:
             "euler_product needs a finite prime set; use euler_product_partial "
             "for truncations of infinite sets"
         )
-    result = Fraction(1)
-    for p in spec.primes:
-        result *= Fraction(p - 1, p)
-    return result
+    return Fraction(math.prod(p - 1 for p in spec.primes), math.prod(spec.primes))
 
 
 def euler_product_partial(spec: PrimeSetSpec, prime_limit: int) -> float:

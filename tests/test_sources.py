@@ -3,9 +3,12 @@
 ``pyproject.toml`` says ``requires-python = ">=3.10"``, while the suite may
 run on a newer interpreter, so a newer-only construct would pass every other
 test.  These checks read the sources instead of running them: the package's,
-and the suite's own, since the suite is what checks a 3.10 install."""
+and the suite's own, since the suite is what checks a 3.10 install.  One
+more reads the benchmark's replay, so that no package name it calls can be
+deleted under it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,30 @@ def test_module_parses_as_python_3_10(path):
             assert "call" not in {alias.name for alias in node.names}, node.lineno
         if isinstance(node, ast.Attribute) and node.attr == "call":
             assert not (isinstance(node.value, ast.Name) and node.value.id == "operator"), node.lineno
+
+
+_PACKAGE_MODULES = ("cli", "experiments", "primes", "semigroup", "sums", "zeta")
+
+
+def _replay_names():
+    """(module, name) for each package name the benchmark's replay reaches:
+    the attributes of the package modules it imports and the names it
+    imports from the package."""
+    tree = ast.parse((_ROOT / "perfbench" / "replay.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("musum"):
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in _PACKAGE_MODULES):
+            yield f"musum.{node.value.id}", node.attr
+
+
+def test_replay_reaches_only_names_the_package_has():
+    # Importing a submodule makes it an attribute of the package, as the
+    # replay's own `from musum import ...` does.
+    for module in _PACKAGE_MODULES:
+        importlib.import_module(f"musum.{module}")
+    names = set(_replay_names())
+    assert ("musum.semigroup", "count_members_outside") in names
+    for module, name in sorted(names):
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

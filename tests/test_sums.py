@@ -6,6 +6,8 @@ import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -30,14 +32,17 @@ from musum.primes import (
     parse_spec,
     render_spec,
 )
-from musum.semigroup import count_members_outside, enumerate_terms, member_table, squarefree_terms
+from musum.semigroup import count_members_outside, enumerate_terms, member_table, smooth_split
+from musum.semigroup import squarefree_terms
 from musum.semigroup import table_floor_sum, table_fsums
 from musum.sums import (
     EXACT_CEILING,
     SumReport,
     WeightFunction,
     _merge_sum,
+    _primorial,
     _report,
+    _split_sum,
     euler_product,
     euler_product_partial,
     format_rational,
@@ -373,6 +378,17 @@ def test_exact_cli_sum_leaves_the_int_str_limit_alone(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_report_repr_writes_large_exact_values():
+    limit = sys.get_int_max_str_digits()
+    report = partial_sum(AllPrimes(), 2 * 10**4)
+    text = repr(report)
+    assert format_rational(report.value_exact) in text
+    assert len(format_rational(report.value_exact)) > limit
+    assert text.startswith("SumReport(params='all', x=20000, mode='exact', ")
+    assert sys.get_int_max_str_digits() == limit
+    assert "value_exact=None" in repr(partial_sum(AllPrimes(), 10, "float"))
+
+
 def test_format_rational_handles_huge_denominators():
     value = partial_sum(AllPrimes(), 10**4).value_exact
     text = format_rational(value)
@@ -604,9 +620,25 @@ _SPLIT_SPECS = [spec for spec, _ in SPEC_FORMS] + [
 ]
 
 
+@lru_cache(maxsize=None)
+def _nonzero_below_the_root(spec):
+    """Whether S_P(v) != 0, for each v up to isqrt(EXACT_CEILING), summed
+    term by term."""
+    terms = [Fraction(0)] * (math.isqrt(EXACT_CEILING) + 1)
+    for n, mu in squarefree_terms(spec, len(terms) - 1):
+        terms[n] = Fraction(mu, n)
+    return [bool(value) for value in accumulate(terms)]
+
+
 def _check_split(spec, x):
     terms = ((mu, n) for n, mu in squarefree_terms(spec, x))
     assert partial_sum(spec, x) == _report(render_spec(spec), x, "exact", terms), (spec, x)
+    # The split sums over one denominator, the primorial of isqrt(x), times
+    # each prime above it whose term is nonzero.
+    table, large = smooth_split(spec, x)
+    nonzero = _nonzero_below_the_root(spec)
+    den = _primorial(math.isqrt(x)) * math.prod(p for p in large if nonzero[x // p])
+    assert _split_sum(table, large, x)[1] == den, (spec, x)
 
 
 @pytest.mark.parametrize("spec", _SPLIT_SPECS, ids=render_spec)
