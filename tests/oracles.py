@@ -54,6 +54,18 @@ def plain_sieve_flags(limit: int) -> bytearray:
     return flags
 
 
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the smallest prime factor of n, for 2 <= n <= limit (spf[0]
+    = 0, spf[1] = 1): the textbook sieve, one Python step per multiple."""
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
 def factorize(n: int) -> dict[int, int]:
     """Trial-division factorisation, exponents included."""
     out: dict[int, int] = {}
