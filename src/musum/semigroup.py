@@ -59,7 +59,10 @@ from .primes import PrimeSetSpec, _coded_primes, _member_marks, _runs, _translat
 # need no marks.  The flags are gone before the table of <P> is built.  Exact
 # partial_sum of an infinite set reads smooth_split: 1 per n plus 4 per
 # member prime, and its prefix and tree integers: 1.95 per n at the exact
-# ceiling of 1e5 for 1 mod 4, 2.94 for all.  The term-wise exact routes of
+# ceiling of 1e5 for 1 mod 4, 2.94 for all, whose peak is the tree's last
+# step: the halves' numerators and denominators (2R, R the size of the
+# result's denominator, 1.44 bits per n of x) and three products of size R.
+# The term-wise exact routes of
 # sums (coprime, shifted, weighted) read one table, and their buckets add one
 # int per prime in (sqrt(x), x], about 140 bytes each: a peak of about 1.5 MB
 # at 1e5, where the table takes 0.1 MB.  The one reader, table_runs, holds

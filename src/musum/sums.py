@@ -27,8 +27,10 @@ above s, so each term a/b is a * (C // g) over C * r with g = gcd(b, C) and
 r = b // g either 1 or that prime: the terms land in one integer bucket per
 r, and no gcd is taken of a large integer.  The buckets are then added by
 gcd-free binary splitting (Haible and Papanikolaou 1998), as a stream on a
-stack of at most log2(#buckets) unreduced partial sums, and one
-``fractions.Fraction`` reduces the total at the end.  Exact
+stack of at most log2(#buckets) unreduced partial sums.  The total is
+reduced by its known factors, gcd(num, C) times each r that divides its
+own bucket, not by a gcd of two large integers, and ``format_rational``
+writes it by divide and conquer: neither end step is quadratic.  Exact
 ``partial_sum`` of an infinite set feeds the stack few terms, by the
 largest-prime split of Meissel-Lehmer prime counting: every squarefree
 n <= x whose largest prime p exceeds s is p*m with m <= x/p < p, so
@@ -54,7 +56,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -76,6 +78,8 @@ from .semigroup import table_floor_sum, table_fsums, table_runs, table_terms
 # prime in (isqrt(x), x] that their terms reach: a dict entry, the prime
 # and a numerator of about 1.44 * isqrt(x) bits, about 140 bytes each: a
 # tracemalloc peak of about 1.5 MB at this ceiling, the table included.
+# There the result of all has 144,000 bits: reduced in 2 ms, not 25-35 by
+# one gcd, and written in 17 ms, not 62-68 by Decimal.
 EXACT_CEILING = 10**5
 
 # One rounding per term, with generous slack; fsum actually stays within one
@@ -131,8 +135,43 @@ def format_rational(q: Fraction) -> str:
     Exact denominators grow to tens of thousands of digits, beyond the
     interpreter's default int-to-str limit; ``Decimal`` converts them
     without that limit, so the interpreter-wide setting is left alone.
+    Its time is quadratic, so a large n is written as hi * 2**w + lo, hi
+    and lo converted alike, in a private context exact at any size (Brent
+    and Zimmermann, Modern Computer Arithmetic, 1.7).
     """
-    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+    return f"{_decimal_text(q.numerator)}/{_decimal_text(q.denominator)}"
+
+
+# Decimal(n) up to this many bits.  On a shared 2-vCPU VM (Python 3.11)
+# leaves of 3000-4000 bits were fastest: the split took 96% of Decimal(n)'s
+# time at 9000 bits, 39% at 72,000 and 25% at 144,000.
+_RENDER_LEAF_BITS = 4000
+
+
+def _decimal_text(n: int) -> str:
+    """str(Decimal(n)), with the sign of a split n written as text."""
+    if n.bit_length() <= _RENDER_LEAF_BITS:
+        return str(Decimal(n))
+    context = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:  # 2**w, made once per w
+        if w not in powers:
+            q = w >> 1
+            small = w <= _RENDER_LEAF_BITS
+            powers[w] = Decimal(1 << w) if small else context.multiply(power(q), power(w - q))
+        return powers[w]
+
+    def convert(n: int, w: int) -> Decimal:  # 0 <= n < 2**w
+        if w <= _RENDER_LEAF_BITS:
+            return Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        lo = convert(n - (hi << half), half)
+        return context.add(context.multiply(convert(hi, w - half), power(half)), lo)
+
+    digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
 
 
 def _validate_mode_and_x(mode: str, x: int) -> None:
@@ -147,12 +186,12 @@ def _validate_mode_and_x(mode: str, x: int) -> None:
     check_enum_limit(x)
 
 
-def _merge_sum(pairs: Iterable[tuple[int, int]], common: int) -> tuple[int, int, int]:
-    """(num, den, count): the sum num/den of a stream of ``count`` pairs
-    (a, b) with b > 0, unreduced, with den = common * the product of the
-    distinct parts r = b // gcd(b, common), each pair added to r's bucket.
-    Exact for any ``common``; fast when every r is 1 or a prime, as for a
-    squarefree n <= x over the primes up to isqrt(x).
+def _merge_sum(pairs: Iterable[tuple[int, int]], common: int, x: int) -> tuple[int, int, int]:
+    """(num, den, count): the sum num/den in lowest terms of a stream of
+    ``count`` pairs (a, b) with b > 0, each pair added to the bucket of its
+    part r = b // gcd(b, common).  Exact for any ``common``; fast when every
+    r is 1 or a prime, as for a squarefree n <= x over the primes up to
+    isqrt(x).
     """
     parts: dict[int, int] = {}
     count = 0
@@ -161,23 +200,31 @@ def _merge_sum(pairs: Iterable[tuple[int, int]], common: int) -> tuple[int, int,
         g = math.gcd(b, common)
         r = b // g
         parts[r] = parts.get(r, 0) + a * (common // g)
-    num, den = _tree_sum(zip(parts.values(), parts))
-    return num, common * den, count
+    num, den = _tree_sum(zip(parts.values(), parts), common, not parts or max(parts) <= x)
+    return num, den, count
 
 
-def _tree_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """(num, den): the sum num/den of a stream of pairs (a, b) with b > 0,
-    unreduced, with den the product of every b.
+def _tree_sum(pairs: Iterable[tuple[int, int]], common: int, below_x: bool) -> tuple[int, int]:
+    """(num, den): the sum num/den in lowest terms of a / (common * r) over
+    a stream of pairs (a, r) with distinct r > 0; ``below_x`` if every r is
+    at most x and common a multiple of the primorial of isqrt(x).
 
     The pairs are added on a stack in binary-counter order: after k pairs
     the stack holds one partial sum per set bit i of k, the sum of 2**i
     consecutive pairs, so at most log2(k) + 1 partial sums are alive.  Each
-    step is gcd-free: a/b + c/d = (a*d + c*b) / (b*d).
+    step is gcd-free: a/b + c/d = (a*d + c*b) / (b*d).  If every r is also
+    coprime to common, each r > 1 is a prime above isqrt(x) that divides
+    every cross term of the numerator but its own, so the gcd is
+    gcd(num, common) times the r that divide their own a: no gcd of two
+    large integers is taken.
     """
     stack: list[tuple[int, int]] = []
     count = 0
+    known = 1
     for num, den in pairs:
         count += 1
+        if not num % den:
+            known *= den
         k = count
         while not k & 1:
             a, b = stack.pop()
@@ -187,7 +234,11 @@ def _tree_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     num, den = 0, 1
     for a, b in reversed(stack):
         num, den = a * den + num * b, b * den
-    return num, den
+    if below_x and math.gcd(den, common) == 1:
+        g = math.gcd(num, common) * known
+    else:
+        g = math.gcd(num, common * den)
+    return num // g, common * den // g
 
 
 @lru_cache(maxsize=None)
@@ -197,9 +248,27 @@ def _primorial(s: int) -> int:
     return math.prod(member_primes(AllPrimes(), s))
 
 
+def _coprime_fraction_hook(cls: type[Fraction] = Fraction):
+    """cls(n, d) for coprime n and d > 0 without its gcd, by a feature test:
+    the private classmethod of Python 3.12 and later, the private keyword
+    of 3.10 and 3.11, else cls itself."""
+    hook = getattr(cls, "_from_coprime_ints", None)
+    if hook is not None:
+        return hook
+    try:
+        cls(1, 1, _normalize=False)
+    except TypeError:
+        return cls
+    return lambda n, d: cls(n, d, _normalize=False)
+
+
+_coprime_fraction = _coprime_fraction_hook()
+
+
 def _exact_report(params: str, x: int, num: int, den: int, count: int) -> SumReport:
-    total = Fraction(num, den)  # the one reduction
-    return SumReport(params, x, "exact", total, float(total), 0.0, count, abs(total) <= 1)
+    # num/den comes in lowest terms with den > 0; float(Fraction) is num / den.
+    total = _coprime_fraction(num, den)
+    return SumReport(params, x, "exact", total, num / den, 0.0, count, abs(num) <= den)
 
 
 def _float_report(params: str, x: int, value: float, count: int) -> SumReport:
@@ -212,7 +281,7 @@ def _report(params: str, x: int, mode: str, terms: Iterable[Term], scale: int = 
     n <= x times a divisor of ``scale``."""
     if mode == "exact":
         common = _primorial(math.isqrt(x)) * scale
-        return _exact_report(params, x, *_merge_sum(((a, b) for a, b in terms if a), common))
+        return _exact_report(params, x, *_merge_sum(((a, b) for a, b in terms if a), common, x))
     count = 0
 
     def quotients():
@@ -261,8 +330,8 @@ def _split_sum(table: bytearray, large: Sequence[int], x: int) -> tuple[int, int
     count = table_count_squarefree(table, 0, x + 1)
     count += sum(map(counts.__getitem__, map(x.__floordiv__, large)))
     prefixes = map(prefix.__getitem__, map(x.__floordiv__, large))
-    num, den = _tree_sum(chain([(smooth, 1)], ((-a, p) for p, a in zip(large, prefixes) if a)))
-    return num, common * den, count
+    pairs = chain([(smooth, 1)], ((-a, p) for p, a in zip(large, prefixes) if a))
+    return *_tree_sum(pairs, common, True), count
 
 
 def partial_sum_coprime(P: int, x: int, mode: str = "exact") -> SumReport:

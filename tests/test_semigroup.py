@@ -535,34 +535,40 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
 # 4 bytes per member prime where smooth_split keeps the members as one
 # array, and for the <P'> routes, whose band chunks beside two arrays of x
 # bytes need more than those few KB.  The exact sum runs at its own
-# ceiling, with 0.4 bytes per n to spare for its integers.
+# ceiling, with 0.4 bytes per n to spare for its integers, and for all
+# with five integers the size of its result's denominator, which the last
+# step of its tree holds.
 # The set is 1 mod 4, and all for a second member_table and zorn_check
 # case, in which every chunk of every band holds member primes.
 @pytest.mark.parametrize(
-    "route, spec, x, per_n, per_member",
+    "route, spec, x, per_n, per_member, per_result",
     [
-        (member_table, ResiduePrimes(1, 4), 10**6, 1.25, 0),
-        (member_table, AllPrimes(), 10**6, 1.25, 0),
-        (count_members_outside, ResiduePrimes(1, 4), 10**6, 2, 4),
-        (zorn_check, ResiduePrimes(1, 4), 10**6, 2, 4),
-        (zorn_check, AllPrimes(), 10**6, 2, 4),
-        (lambda spec, x: convergence_table(spec, [x]), ResiduePrimes(1, 4), 10**6, 1.25, 0),
-        (lambda spec, x: gran_residual(spec, [x]), ResiduePrimes(1, 4), 10**6, 2, 4),
-        (partial_sum, ResiduePrimes(1, 4), EXACT_CEILING, 1.4, 4),
-        (lambda spec, x: partial_sum(spec, x, "float"), ResiduePrimes(1, 4), 10**6, 1.25, 0),
+        (member_table, ResiduePrimes(1, 4), 10**6, 1.25, 0, 0),
+        (member_table, AllPrimes(), 10**6, 1.25, 0, 0),
+        (count_members_outside, ResiduePrimes(1, 4), 10**6, 2, 4, 0),
+        (zorn_check, ResiduePrimes(1, 4), 10**6, 2, 4, 0),
+        (zorn_check, AllPrimes(), 10**6, 2, 4, 0),
+        (lambda spec, x: convergence_table(spec, [x]), ResiduePrimes(1, 4), 10**6, 1.25, 0, 0),
+        (lambda spec, x: gran_residual(spec, [x]), ResiduePrimes(1, 4), 10**6, 2, 4, 0),
+        (partial_sum, ResiduePrimes(1, 4), EXACT_CEILING, 1.4, 4, 0),
+        (partial_sum, AllPrimes(), EXACT_CEILING, 1.4, 4, 5),
+        (lambda spec, x: partial_sum(spec, x, "float"), ResiduePrimes(1, 4), 10**6, 1.25, 0, 0),
     ],
     ids=["member_table", "member_table_all", "count_members_outside", "zorn_check",
-         "zorn_check_all", "convergence_table", "gran_residual", "partial_sum", "partial_sum_float"],
+         "zorn_check_all", "convergence_table", "gran_residual", "partial_sum", "partial_sum_all",
+         "partial_sum_float"],
 )
-def test_table_routes_stay_within_their_stated_memory(route, spec, x, per_n, per_member):
+def test_table_routes_stay_within_their_stated_memory(route, spec, x, per_n, per_member,
+                                                       per_result):
     members = len(primes_in(spec, x))
+    result = per_result and partial_sum(spec, x).value_exact.denominator.bit_length() / 8
     tracemalloc.start()
     try:
         route(spec, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < per_n * x + per_member * members + 64 * 1024
+    assert peak < per_n * x + per_member * members + per_result * result + 64 * 1024
 
 
 @pytest.mark.parametrize(

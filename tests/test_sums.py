@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from musum import cli, sweeps
+from musum import sums as sums_module
 from musum.errors import DomainError, UsageError
 from musum.experiments import (
     EULER_MASCHERONI,
@@ -397,6 +399,87 @@ def test_format_rational_handles_huge_denominators():
     assert len(den) > 4000
 
 
+# format_rational splits an int above _RENDER_LEAF_BITS at half its width,
+# so the widths at which the recursion changes shape are the leaf size
+# times the powers of 2: every one up to 300,000 bits, with fewer cases
+# above 64,000, where the quadratic reference is slow.
+_SPLIT_WIDTHS = [sums_module._RENDER_LEAF_BITS << j for j in range(7)]
+
+
+def _render_cases():
+    yield from (0, 1, -1)
+    for j, w in enumerate(_SPLIT_WIDTHS):
+        k = round(w * math.log10(2))
+        if j > 4:
+            yield from (10**k - 1, -(1 << w))
+            continue
+        for n in (10 ** (k - 1), 10**k, 10 ** (k + 1)):
+            yield from (n, n - 1)
+        for n in (1 << (w - 1), 1 << w, 1 << (w + 1)):
+            yield from (n - 1, n, n + 1)
+        yield -(10**k)
+    rng = random.Random(26)
+    for bits in [rng.randrange(1, 300_000) for _ in range(6)] + [300_000]:
+        yield rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+
+def test_format_rational_writes_the_digits_of_decimal():
+    for n in _render_cases():
+        assert sums_module._decimal_text(n) == str(Decimal(n)), n.bit_length()
+
+
+def test_format_rational_leaves_the_decimal_context_alone():
+    value = partial_sum(AllPrimes(), 2 * 10**4).value_exact
+    assert value.denominator.bit_length() > 4 * sums_module._RENDER_LEAF_BITS
+    want = f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+    context = decimal.getcontext()
+    before = (context.prec, context.Emax, context.Emin, context.rounding,
+              dict(context.traps), dict(context.flags))
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(value) == want
+    after = (context.prec, context.Emax, context.Emin, context.rounding,
+             dict(context.traps), dict(context.flags))
+    assert decimal.getcontext() is context and after == before
+    assert sys.get_int_max_str_digits() == limit
+    # A thread context that would round or trap changes nothing.
+    with decimal.localcontext() as narrow:
+        narrow.prec = 3
+        narrow.traps[decimal.Inexact] = narrow.traps[decimal.Rounded] = True
+        assert format_rational(value) == want
+        assert format_rational(-value) == "-" + want
+        assert not narrow.flags[decimal.Inexact] and not narrow.flags[decimal.Rounded]
+
+
+def test_coprime_fraction_hook_keeps_the_fraction():
+    # The hook skips Fraction's gcd; its result must be the same Fraction.
+    # If a Python drops both private hooks, the pick falls back to the gcd
+    # and the second assertion names the change.
+    hook = sums_module._coprime_fraction
+    assert hook is not Fraction
+    table, large = smooth_split(AllPrimes(), 10**4)
+    num, den, _ = _split_sum(table, large, 10**4)
+    for n, d in [(0, 1), (1, 1), (-1, 2), (5, 3), (num, den), (-num, den)]:
+        got, want = hook(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_coprime_fraction_hook_falls_back_to_the_gcd(monkeypatch):
+    class Plain(Fraction):
+        _from_coprime_ints = None
+
+        def __new__(cls, numerator=0, denominator=None):
+            return super().__new__(cls, numerator, denominator)
+
+    hook = sums_module._coprime_fraction_hook(Plain)
+    assert hook is Plain
+    monkeypatch.setattr(sums_module, "_coprime_fraction", hook)
+    report = partial_sum(AllPrimes(), 1000)
+    assert type(report.value_exact) is Plain
+    monkeypatch.undo()
+    assert report == partial_sum(AllPrimes(), 1000)
+
+
 def test_exact_report_floats_are_roundings():
     report = partial_sum(CofinitePrimes((2,)), 999)
     assert report.value_float == float(report.value_exact)
@@ -493,8 +576,13 @@ _STREAM_LENGTHS = sorted({0, 1, 2, 3} | {2**k + d for k in range(2, 8) for d in 
 
 def _leftover_product(pairs, common):
     """common times the product of the distinct parts b // gcd(b, common):
-    the denominator the accumulator leaves unreduced."""
+    the denominator of the accumulator's sum before it is reduced."""
     return common * math.prod({b // math.gcd(b, common) for _, b in pairs})
+
+
+def _check_lowest_terms(num, den, unreduced):
+    assert den > 0 and math.gcd(num, den) == 1
+    assert unreduced % den == 0
 
 
 @pytest.mark.parametrize("length", _STREAM_LENGTHS)
@@ -502,11 +590,11 @@ def test_merge_tree_stream_lengths(length):
     rng = random.Random(length)
     pairs = [(rng.choice((-3, -1, 1, 2)), rng.randrange(1, 60)) for _ in range(length)]
     common = 2 * 3 * 5 * 7  # the primes up to isqrt(59)
-    num, den, count = _merge_sum(iter(pairs), common)
+    num, den, count = _merge_sum(iter(pairs), common, 59)
     assert Fraction(num, den) == _termwise(pairs)
     assert count == length
-    # One bucket per leftover part, added with no gcd at all.
-    assert den == _leftover_product(pairs, common)
+    # One bucket per leftover part, reduced by the factors it is known to have.
+    _check_lowest_terms(num, den, _leftover_product(pairs, common))
     # Zero terms are skipped before the stack and not counted.
     terms = []
     for num, den in pairs:
@@ -523,15 +611,18 @@ _ODD_DENOMINATORS = (1, 2, 4, 8, 9, 27, 12, 143, 289, 1009, 4 * 1009, 30030, 2**
 @pytest.mark.parametrize("common", [1, 2, 6, 30, 4 * 27, 2**10 * 3**5, 30030])
 @pytest.mark.parametrize("seed", range(6))
 def test_merge_sum_matches_the_fraction_sum(common, seed):
-    assert _merge_sum(iter(()), common) == (0, common, 0)
+    # The largest x whose primes up to isqrt(x) all divide common.
+    q = next(p for p in odd_wheel_sieve(100) if common % p)
+    x = q * q - 1
+    assert _merge_sum(iter(()), common, x) == (0, 1, 0)
     rng = random.Random(seed)
     for length in (1, 2, 5, 64, 300):
         pairs = [(rng.choice((-1, 1)) * rng.randrange(1, 10 ** rng.randrange(1, 40)),
                   rng.choice(_ODD_DENOMINATORS)) for _ in range(length)]
-        num, den, count = _merge_sum(iter(pairs), common)
+        num, den, count = _merge_sum(iter(pairs), common, x)
         assert Fraction(num, den) == _termwise(pairs)
         assert count == length
-        assert den == _leftover_product(pairs, common)
+        _check_lowest_terms(num, den, _leftover_product(pairs, common))
 
 
 @pytest.mark.parametrize("x", [0, 1, 2, 3, 30, 257, 2000])
@@ -637,8 +728,9 @@ def _check_split(spec, x):
     # each prime above it whose term is nonzero.
     table, large = smooth_split(spec, x)
     nonzero = _nonzero_below_the_root(spec)
-    den = _primorial(math.isqrt(x)) * math.prod(p for p in large if nonzero[x // p])
-    assert _split_sum(table, large, x)[1] == den, (spec, x)
+    unreduced = _primorial(math.isqrt(x)) * math.prod(p for p in large if nonzero[x // p])
+    num, den, _ = _split_sum(table, large, x)
+    _check_lowest_terms(num, den, unreduced)
 
 
 @pytest.mark.parametrize("spec", _SPLIT_SPECS, ids=render_spec)
