@@ -34,6 +34,7 @@ SUMS = "src/musum/sums.py"
 INVERSION = [
     "tests/test_inversion.py::test_inversion_identity_holds_exactly_up_to_300",
     "tests/test_inversion.py::test_inversion_identity_holds_modulo_a_large_prime",
+    "tests/test_inversion.py::test_inversion_identity_holds_at_the_exact_ceiling",
 ]
 SPLIT = [
     "tests/test_sums.py::test_split_sum_matches_termwise_up_to_400",

@@ -42,7 +42,6 @@ from oracles import mobius_bruteforce, smallest_prime_factors
 
 Q = 2**61 - 1
 SMALL_X = 300
-LARGE_XS = (10**4, EXACT_CEILING)
 assert Q > EXACT_CEILING
 
 
@@ -157,12 +156,20 @@ def test_inversion_identity_holds_exactly_up_to_300(case):
         assert _inversion_sum(case, x, H, _value) == rhs, (case, x)
 
 
+def _check_modulo_q(case, x):
+    H = _prefix(case, x, Q)
+    assert _inversion_sum(case, x, H, _value_mod_q, Q) == CASES[case][2] % Q, (case, x)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_inversion_identity_holds_modulo_a_large_prime(case):
-    H = _prefix(case, max(LARGE_XS), Q)
-    rhs = CASES[case][2] % Q
-    for x in LARGE_XS:
-        assert _inversion_sum(case, x, H, _value_mod_q, Q) == rhs, (case, x)
+    _check_modulo_q(case, 10**4)
+
+
+# One case of the split and one of the term-wise buckets at the ceiling.
+@pytest.mark.parametrize("case", ["all", "coprime:P=30"])
+def test_inversion_identity_holds_at_the_exact_ceiling(case):
+    _check_modulo_q(case, EXACT_CEILING)
 
 
 def test_the_modular_check_sees_a_wrong_value():
