@@ -142,15 +142,17 @@ def format_rational(q: Fraction) -> str:
     return f"{_decimal_text(q.numerator)}/{_decimal_text(q.denominator)}"
 
 
-# Decimal(n) up to this many bits.  On a shared 2-vCPU VM (Python 3.11)
-# leaves of 3000-4000 bits were fastest: the split took 96% of Decimal(n)'s
-# time at 9000 bits, 39% at 72,000 and 25% at 144,000.
+# The split's leaves, converted by Decimal(n), have at most this many bits,
+# and so does half of the smallest n split.  On a shared 2-vCPU VM (Python
+# 3.11) leaves of 3000-4000 bits were fastest, and the split took 110% of
+# Decimal(n)'s time at 5000 bits, 96% at 9000, 39% at 72,000 and 25% at
+# 144,000.
 _RENDER_LEAF_BITS = 4000
 
 
 def _decimal_text(n: int) -> str:
     """str(Decimal(n)), with the sign of a split n written as text."""
-    if n.bit_length() <= _RENDER_LEAF_BITS:
+    if n.bit_length() <= 2 * _RENDER_LEAF_BITS:
         return str(Decimal(n))
     context = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
     powers: dict[int, Decimal] = {}
