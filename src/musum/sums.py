@@ -142,11 +142,9 @@ def format_rational(q: Fraction) -> str:
     return f"{_decimal_text(q.numerator)}/{_decimal_text(q.denominator)}"
 
 
-# The split's leaves, converted by Decimal(n), have at most this many bits,
-# and so does half of the smallest n split.  On a shared 2-vCPU VM (Python
-# 3.11) leaves of 3000-4000 bits were fastest, and the split took 110% of
-# Decimal(n)'s time at 5000 bits, 96% at 9000, 39% at 72,000 and 25% at
-# 144,000.
+# The bits of the split's leaves, and of half the smallest n split.  On a
+# shared 2-vCPU VM (Python 3.11) the split took 110% of Decimal(n)'s time at
+# 5000 bits, 96% at 9000, 39% at 72,000 and 25% at 144,000.
 _RENDER_LEAF_BITS = 4000
 
 
@@ -216,9 +214,8 @@ def _tree_sum(pairs: Iterable[tuple[int, int]], common: int, below_x: bool) -> t
     consecutive pairs, so at most log2(k) + 1 partial sums are alive.  Each
     step is gcd-free: a/b + c/d = (a*d + c*b) / (b*d).  If every r is also
     coprime to common, each r > 1 is a prime above isqrt(x) that divides
-    every cross term of the numerator but its own, so the gcd is
-    gcd(num, common) times the r that divide their own a: no gcd of two
-    large integers is taken.
+    every cross term of the numerator but its own: the gcd is then
+    gcd(num, common) times the r that divide their own a.
     """
     stack: list[tuple[int, int]] = []
     count = 0
@@ -254,13 +251,10 @@ def _coprime_fraction_hook(cls: type[Fraction] = Fraction):
     """cls(n, d) for coprime n and d > 0 without its gcd, by a feature test:
     the private classmethod of Python 3.12 and later, the private keyword
     of 3.10 and 3.11, else cls itself."""
-    hook = getattr(cls, "_from_coprime_ints", None)
-    if hook is not None:
-        return hook
     try:
         cls(1, 1, _normalize=False)
     except TypeError:
-        return cls
+        return getattr(cls, "_from_coprime_ints", None) or cls
     return lambda n, d: cls(n, d, _normalize=False)
 
 

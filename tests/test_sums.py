@@ -399,10 +399,11 @@ def test_format_rational_handles_huge_denominators():
     assert len(den) > 4000
 
 
-# format_rational splits an int above _RENDER_LEAF_BITS at half its width,
-# so the widths at which the recursion changes shape are the leaf size
-# times the powers of 2: every one up to 300,000 bits, with fewer cases
-# above 64,000, where the quadratic reference is slow.
+# format_rational writes an int of up to twice _RENDER_LEAF_BITS directly
+# and splits a larger one at half its width, down to leaves of at most
+# _RENDER_LEAF_BITS, so the recursion changes shape at the leaf size times
+# the powers of 2: every one up to 300,000 bits, with fewer cases above
+# 64,000, where the quadratic reference is slow.
 _SPLIT_WIDTHS = [sums_module._RENDER_LEAF_BITS << j for j in range(7)]
 
 
@@ -453,7 +454,7 @@ def test_format_rational_leaves_the_decimal_context_alone():
 def test_coprime_fraction_hook_keeps_the_fraction():
     # The hook skips Fraction's gcd; its result must be the same Fraction.
     # If a Python drops both private hooks, the pick falls back to the gcd
-    # and the second assertion names the change.
+    # and the first assertion names the change.
     hook = sums_module._coprime_fraction
     assert hook is not Fraction
     table, large = smooth_split(AllPrimes(), 10**4)
