@@ -78,8 +78,8 @@ from .semigroup import table_floor_sum, table_fsums, table_runs, table_terms
 # prime in (isqrt(x), x] that their terms reach: a dict entry, the prime
 # and a numerator of about 1.44 * isqrt(x) bits, about 140 bytes each: a
 # tracemalloc peak of about 1.5 MB at this ceiling, the table included.
-# There the result of all has 144,000 bits: reduced in 2 ms, not 25-35 by
-# one gcd, and written in 17 ms, not 62-68 by Decimal.
+# There the result of all has 144,000 bits: reduced in about 2 ms, not 25-39
+# by one gcd, and written in 17-22 ms, not 64-68 by Decimal.
 EXACT_CEILING = 10**5
 
 # One rounding per term, with generous slack; fsum actually stays within one
