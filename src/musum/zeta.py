@@ -17,13 +17,18 @@ Factors are computed in double-precision complex arithmetic, but the phase
 t*ln(p) mod 2*pi of p**-it is reduced from an extended-precision logarithm
 so that large |t| cannot wash out the angle.  The phases are defined as the
 doubles that the mpmath reduction at _PHASE_PRECISION_BITS returns
-(``_reference_phases``).  ``_reduced_phases`` gets the same bits mostly in
-integer fixed point: it computes t*ln(p) mod 2*pi to within
-(1 + |t*ln p|) * 2**-92 from an 11-bit table of logarithms (Tang 1990), with
-an error band that also covers the reference's own error, and keeps the
-correctly rounded double only when no value inside the band rounds
-differently or lets the reference wrap past 0 or 2*pi.  Every other prime
-goes to the reference (Ziv's scheme for correct rounding).
+(``_reference_phases``).  ``_reduced_phases`` gets the same bits in three
+stages of Ziv's scheme for correct rounding, each keeping a phase only when
+no value inside its error band rounds differently or lets the reference wrap
+past 0 or 2*pi, and passing the rest on.  Stage 1 works in doubles for
+2**-12 <= |t| <= 127: the members sharing an 11-bit leading part `top` and
+a `shift` form a group with one fixed-point offset t*ln(top * 2**shift) mod
+2*pi, split into two doubles, to which each member adds a short atanh series
+in doubles, within a band of (1 + |t|) * 2**-60.  Stage 2 computes t*ln(p)
+mod 2*pi in integer fixed point to within (1 + |t*ln p|) * 2**-92 from an
+11-bit table of logarithms (Tang 1990), with a band that also covers the
+reference's own error.  Stage 3 is the reference itself.  Most phases are
+decided in stage 1; stage 2 takes those near a rounding boundary.
 
 On the real axis (Im(s) = 0, of either sign) every phase is 0.0, and each
 factor of the complex loop comes out as exactly (1 - p**-sigma, +0.0):
@@ -98,6 +103,31 @@ _PHASE_BAND_BITS = 91
 _LOG_TOP_BITS = 11
 _LOG_TOP_LOW = 1 << (_LOG_TOP_BITS - 1)
 _SERIES_GUARD_BITS = 32
+# Stage 1 adds to the group offset G = t*ln(base) mod 2*pi, the stage-2
+# phase of base = top * 2**shift, the tail t*S in doubles, S = ln(p / base) =
+# u + u**3/12 + u**5/80 + ... for u = 2*(p - base) / (p + base) < 2**-10, so
+# S < 2**-10.  Its errors, in radians with T = |t|: u's rounding and the
+# series' own roundings and cut (u**7/448 < 2**-68 * u) leave S within
+# 2**-52 * S, so t*S within T * 2**-62, and rounding t*S adds T * 2**-63.
+# G = ghi + glo splits G to within 2**-96 when ghi * scale is not an
+# integer, and rounding glo adds 2**-104 (|glo| <= 2**-51).  Rounding
+# glo + t*S and that sum plus or minus the band each add T * 2**-63 +
+# 2**-104.  G, as a stage-2 phase, and the reference are within
+# (1 + |t*ln p|) * (2**-92 + 2**-93) <= (1 + T) * 2**-86 of the exact values,
+# for p < 2**64.  All these sum to under (1 + T) * 2**-60 * 5/8, and the band
+# is (1 + T) * 2**-_DOUBLE_BAND_BITS.  When both ends of ghi + (w +- band),
+# for w the double glo + t*S, round to one normal double below 2*pi, every
+# value in the band does too: the exact phase and the reference, neither of
+# which can then wrap past 0 or 2*pi, so the double is the reference's.
+# Stage 1 runs for _DOUBLE_T_MIN <= |t| <= _DOUBLE_T_MAX, where the band can
+# decide.  Above 127 its full width 2 * (1 + T) * 2**-60 exceeds 2**-52, the
+# ulp of phases in [1, 2), so it could decide only phases above 2, and fewer
+# than half of those.  For 0 < t < 2**-12 every phase t*ln p of p < 2**64 is
+# below 2**-6, where the ulp is at most 2**-59, within the band's width, so
+# it could decide none.
+_DOUBLE_BAND_BITS = 60
+_DOUBLE_T_MIN = 2.0**-12
+_DOUBLE_T_MAX = 127.0
 _SMALLEST_NORMAL = sys.float_info.min
 
 DEFAULT_PRIME_LIMIT = 10**6
@@ -202,26 +232,62 @@ def _reference_phases(members: list[int], t: float) -> list[float]:
     return [float((tt * mp.log(p)) % two_pi) for p in members]
 
 
-def _reduced_phases(members: list[int], t: float) -> tuple[list[float], int]:
-    """The reference phases of the members, and the number of members whose
-    phase the reference had to give (see _PHASE_BAND_BITS)."""
-    if t == 0.0:
-        return [0.0] * len(members), 0
-    # t = num / den exactly, with den a power of two; the phase of p is
-    # r / scale for r = num * L mod period, with L the fixed-point ln p.
-    ln2s, two_pi, log_top = _fixed_point_constants()
+def _fixed_point_scale(t: float):
+    """(num, scale, period, to_double) for the phases of t.  t = num / den
+    exactly, with den a power of two; the phase of p is r / scale for r =
+    num * L mod period, with L the fixed-point ln p, scale = den <<
+    _PHASE_FRAC_BITS and period = den times the fixed-point 2*pi.
+    to_double(x) is x / scale, correctly rounded.  While 2 * period fits a
+    double, x * (1 / scale) rounds x once and scales it exactly by a power of
+    two down to the smallest normal, below which phases take the reference;
+    it is four times as fast as int / int."""
     num, den = t.as_integer_ratio()
     scale = den << _PHASE_FRAC_BITS
-    period = two_pi * den
-    floor_band = den << (_PHASE_FRAC_BITS - _PHASE_BAND_BITS)
-    # x / scale, correctly rounded.  While 2 * period fits a double,
-    # x * (1 / scale) rounds x once and scales it exactly by a power of two
-    # down to the smallest normal, below which phases take the reference;
-    # it is four times as fast as int / int.
+    period = _fixed_point_constants()[1] * den
     to_double = (1.0 / scale).__rmul__ if period.bit_length() < 1023 else scale.__rtruediv__
-    phases = []
-    doubtful = []
+    return num, scale, period, to_double
+
+
+def _double_phases(members: list[int], t: float) -> tuple[list[float], list[int]]:
+    """Stage 1: the phases decided in doubles (see _DOUBLE_BAND_BITS), with
+    0.0 in place of the others, and the indices of the others."""
+    ln2s, _, log_top = _fixed_point_constants()
+    num, scale, period, to_double = _fixed_point_scale(t)
+    fscale = float(scale)
+    band = (1.0 + abs(t)) * 2.0**-_DOUBLE_BAND_BITS
+    smallest, tau = _SMALLEST_NORMAL, math.tau  # 2*pi rounded down
+    phases = [0.0] * len(members)
+    undecided = []
+    end = 0
     for i, p in enumerate(members):
+        if p >= end:  # a new group: the members with p's top and shift
+            shift = max(p.bit_length() - _LOG_TOP_BITS, 0)
+            base = p >> shift << shift
+            end = base + (1 << shift)
+            g = num * _fixed_log(base, ln2s, log_top) % period
+            ghi = to_double(g)
+            glo = to_double(g - int(ghi * fscale))
+        # ln(p / base) = u + u**3/12 + u**5/80 + ..., 0 <= u < 2**-10
+        a = p - base
+        u = (a + a) / (p + base)
+        uu = u * u
+        w = glo + t * (u + u * uu * (1 / 12 + uu / 80))
+        low = ghi + (w - band)
+        if low == ghi + (w + band) and smallest < low < tau:
+            phases[i] = low
+        else:
+            undecided.append(i)
+    return phases, undecided
+
+
+def _fixed_phases(pairs: Iterable[tuple[int, int]], t: float, phases: list[float]) -> list[int]:
+    """Stage 2: sets phases[i] for each pair (i, p) whose phase the 96-bit
+    fixed point decides (see _PHASE_BAND_BITS); returns the other indices."""
+    ln2s, _, log_top = _fixed_point_constants()
+    num, scale, period, to_double = _fixed_point_scale(t)
+    floor_band = scale >> _PHASE_BAND_BITS
+    doubtful = []
+    for i, p in pairs:
         product = num * _fixed_log(p, ln2s, log_top)
         r = product % period
         if r == product:  # 0 < t*ln p < 2*pi: a relative band
@@ -234,10 +300,24 @@ def _reduced_phases(members: list[int], t: float) -> tuple[list[float], int]:
             # take the reference.
             low = to_double(r - band)
             if low == to_double(r + band) and low > _SMALLEST_NORMAL:
-                phases.append(low)
+                phases[i] = low
                 continue
         doubtful.append(i)
-        phases.append(0.0)
+    return doubtful
+
+
+def _reduced_phases(members: list[int], t: float) -> tuple[list[float], int]:
+    """The reference phases of the members, and the number of members whose
+    phase the reference had to give: stage 1 in doubles where its |t| range
+    allows, stage 2 in fixed point for the rest, then the reference."""
+    if t == 0.0:
+        return [0.0] * len(members), 0
+    if _DOUBLE_T_MIN <= abs(t) <= _DOUBLE_T_MAX:
+        phases, undecided = _double_phases(members, t)
+        pairs = zip(undecided, map(members.__getitem__, undecided))
+    else:
+        phases, pairs = [0.0] * len(members), enumerate(members)
+    doubtful = _fixed_phases(pairs, t, phases)
     if doubtful:
         reference = _reference_phases([members[i] for i in doubtful], t)
         for i, phase in zip(doubtful, reference):

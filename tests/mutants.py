@@ -46,6 +46,16 @@ MERGE = [
 ]
 RENDER = ["tests/test_sums.py::test_format_rational_writes_the_digits_of_decimal"]
 BROAD = ["tests/test_sums.py", "tests/test_inversion.py"]
+ZETA = "src/musum/zeta.py"
+DOUBLE = "tests/test_zeta.py::TestDoubleStage::"
+PHASE = "tests/test_zeta.py::TestPhaseReduction::"
+EQUIVALENCE = [DOUBLE + "test_bits_match_the_fixed_point_up_to_one_million"]
+EDGES = [DOUBLE + "test_one_top_at_every_shift_matches_the_reference",
+         DOUBLE + "test_group_edges_match_the_reference"]
+WRAP = [PHASE + "test_phases_within_the_band_of_a_wrap_take_the_reference"]
+CONSTANTS = [PHASE + "test_series_constants_match_mpmath"]
+FIXED_LOG = [PHASE + "test_fixed_log_matches_mpmath"]
+ZETA_BROAD = ["tests/test_zeta.py"]
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,90 @@ MUTANTS = [
     Mutant("render-sign-dropped", SUMS,
            '    return "-" + digits if n < 0 else digits\n', "    return digits\n", RENDER,
            "the minus sign of a large negative numerator lost"),
+    # Stage 1 of the zeta phases, in doubles.
+    Mutant("double-band-over-16", ZETA,
+           "_DOUBLE_BAND_BITS = 60\n", "_DOUBLE_BAND_BITS = 64\n",
+           [DOUBLE + "test_double_band_holds_the_error_budget"],
+           "stage 1's band 2**4 narrower than its derived budget; the real errors sit well "
+           "inside it, so only the budget test sees it"),
+    Mutant("double-glo-dropped", ZETA,
+           "        w = glo + t * (", "        w = t * (", EQUIVALENCE,
+           "the group offset taken as ghi alone, off by up to half an ulp"),
+    Mutant("double-u5-dropped", ZETA,
+           "(1 / 12 + uu / 80)", "(1 / 12)", EQUIVALENCE,
+           "the u**5/80 term of the series left out: off by up to |t| * 2**-56"),
+    Mutant("double-group-key-without-shift", ZETA,
+           "    end = 0\n    for i, p in enumerate(members):\n        if p >= end:",
+           "    base = shift = 0\n    for i, p in enumerate(members):\n"
+           "        if p >> max(p.bit_length() - _LOG_TOP_BITS, 0) != base >> shift:",
+           EDGES, "a new group only when p's own top differs: members with one top at two "
+                  "shifts share an offset"),
+    Mutant("double-upper-edge-dropped", ZETA,
+           "smallest < low < tau:", "smallest < low:", EQUIVALENCE,
+           "stage 1 keeps a sum past 2*pi, which the reference reduces by one period"),
+    Mutant("double-rounding-check-dropped", ZETA,
+           "        if low == ghi + (w + band) and smallest", "        if smallest", EQUIVALENCE,
+           "stage 1 keeps the lower end of its band even when the upper end rounds elsewhere"),
+    # Stage 2 of the zeta phases, in fixed point, and its constants.
+    Mutant("fixed-band-over-16", ZETA,
+           "_PHASE_BAND_BITS = 91\n", "_PHASE_BAND_BITS = 95\n",
+           [PHASE + "test_band_holds_the_error_budget"],
+           "stage 2's band 2**4 narrower than its derived budget"),
+    Mutant("fixed-band-zero", ZETA,
+           "            band = floor_band + (abs(product) >> _PHASE_BAND_BITS)\n",
+           "            band = 0\n", WRAP,
+           "no band once a period is taken off: a phase within 2**-63 of a wrap is kept"),
+    Mutant("fixed-upper-edge-dropped", ZETA,
+           "        if r < period - band or r - product == period:  # or one period added\n",
+           "        if True:\n", WRAP,
+           "a band across 2*pi kept: a phase just below 2*pi that the reference wraps to just "
+           "above 0"),
+    Mutant("fixed-rounding-check-dropped", ZETA,
+           "            if low == to_double(r + band) and low > _SMALLEST_NORMAL:\n",
+           "            if low > _SMALLEST_NORMAL:\n", [PHASE + "test_bits_match_the_reference"],
+           "stage 2 keeps the lower end of its band even when the upper end rounds elsewhere"),
+    Mutant("fixed-negative-branch-any-product", ZETA,
+           "or r - product == period:", "or product < 0:", WRAP,
+           "every negative product skips the upper wrap check, not only -2*pi < t*ln p < 0"),
+    Mutant("fixed-log-atanh-divisor", ZETA,
+           "series = z + z3 // 3 + z5 // 5", "series = z + z3 // 3 + z5 // 6", FIXED_LOG,
+           "the z**5 term of ln p divided by 6, not 5"),
+    Mutant("fixed-log-z7-dropped", ZETA,
+           "series = z + z3 // 3 + z5 // 5 + z5 * a2 // b2 // 7\n",
+           "series = z + z3 // 3 + z5 // 5\n", FIXED_LOG,
+           "the z**7 term of ln p left out"),
+    Mutant("fixed-log-table-index", ZETA,
+           "    return log_top[top - _LOG_TOP_LOW] + ln2s[shift] + series\n",
+           "    return log_top[top - _LOG_TOP_LOW + 1] + ln2s[shift] + series\n", FIXED_LOG,
+           "ln(top) read one entry too high"),
+    Mutant("fixed-log-shift-off-by-one", ZETA,
+           "    shift = p.bit_length() - _LOG_TOP_BITS\n",
+           "    shift = p.bit_length() - _LOG_TOP_BITS - 1\n", FIXED_LOG,
+           "the top taken with one bit too many"),
+    Mutant("constants-machin-sign", ZETA,
+           "32 * _inverse_series(5, bits, -1) - 8 * _inverse_series(239, bits, -1)",
+           "32 * _inverse_series(5, bits, -1) + 8 * _inverse_series(239, bits, -1)", CONSTANTS,
+           "a sign slip in Machin's formula for 2*pi"),
+    Mutant("constants-table-short", ZETA,
+           "range(_LOG_TOP_LOW, 2 * _LOG_TOP_LOW - 1)", "range(_LOG_TOP_LOW, 2 * _LOG_TOP_LOW - 2)",
+           CONSTANTS, "the ln(top) table one entry short"),
+    Mutant("constants-log-top-one-bit-short", ZETA,
+           "        logs.append((log + half) >> _SERIES_GUARD_BITS)\n",
+           "        logs.append((log + half) >> (_SERIES_GUARD_BITS + 1) << 1)\n", CONSTANTS,
+           "each ln(top) rounded to one fractional bit fewer"),
+    Mutant("constants-ln2-one-bit-short", ZETA,
+           "ln2s = tuple((k * ln2 + half) >> _SERIES_GUARD_BITS for",
+           "ln2s = tuple((k * ln2 + half) >> (_SERIES_GUARD_BITS + 1) << 1 for", CONSTANTS,
+           "each k*ln 2 rounded to one fractional bit fewer"),
+    Mutant("reference-wrong-index", ZETA,
+           "            phases[i] = phase\n", "            phases[i - 1] = phase\n",
+           [PHASE + "test_bits_match_the_reference"],
+           "each reference phase written one place too low"),
+    Mutant("blowup-no-prime-limit-check", ZETA,
+           "    _require_prime_limit(prime_limit)\n    spec = pathological_set(",
+           "    spec = pathological_set(",
+           ["tests/test_cli.py::TestBadInputExitCodes::test_documented_code_without_traceback"],
+           "blowup_scan with a prime limit below 2 divides by ln 1 = 0"),
 ]
 
 # Edits that the tests do not see, each kept with the reason it survives.
@@ -127,6 +221,9 @@ SURVIVORS = [
            "    def convert(n: int, w: int) -> Decimal:  # 0 <= n < 2**w\n"
            "        if w < _RENDER_LEAF_BITS:\n", BROAD,
            "a leaf of exactly _RENDER_LEAF_BITS bits is split once more, with the same digits"),
+    Mutant("constants-guard-bit-dropped", ZETA,
+           "_SERIES_GUARD_BITS = 32\n", "_SERIES_GUARD_BITS = 31\n", ZETA_BROAD,
+           "31 guard bits round every constant to the same 96-bit value as 32 do"),
 ]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from musum import zeta
 from musum.errors import DomainError
 from musum.primes import (
     AllPrimes,
@@ -27,11 +28,16 @@ from musum.zeta import (
     zeta_p,
 )
 from musum.zeta import (
+    _DOUBLE_BAND_BITS,
+    _DOUBLE_T_MAX,
+    _DOUBLE_T_MIN,
     _LOG_TOP_BITS,
     _LOG_TOP_LOW,
     _PHASE_BAND_BITS,
     _PHASE_FRAC_BITS,
+    _double_phases,
     _fixed_log,
+    _fixed_phases,
     _fixed_point_constants,
     _reduced_phases,
     _reference_phases,
@@ -375,6 +381,109 @@ class TestPhaseReduction:
         fast = max(6 / math.log(2) + half / (2 * math.pi), half) * u
         assert fast <= 2.0**-92
         assert 2.0**-92 + 2.0**-93 <= 2.0**-_PHASE_BAND_BITS
+
+
+def _fixed_point_only(members, t):
+    """The phases as stages 2 and 3 alone give them, with no double stage,
+    and the number of reference calls."""
+    phases = [0.0] * len(members)
+    doubtful = _fixed_phases(enumerate(members), t, phases)
+    for i, phase in zip(doubtful, _reference_phases([members[i] for i in doubtful], t)):
+        phases[i] = phase
+    return phases, len(doubtful)
+
+
+def _group_edges():
+    """Every p below 2**_LOG_TOP_BITS, and for each shift up to 52 the first
+    and last two members of the groups of the first and last two tops."""
+    samples = set(range(2, 1 << _LOG_TOP_BITS))
+    tops = (_LOG_TOP_LOW, _LOG_TOP_LOW + 1, 2 * _LOG_TOP_LOW - 2, 2 * _LOG_TOP_LOW - 1)
+    for shift in range(1, 53):
+        for top in tops:
+            base = top << shift
+            samples |= {base, base + 1, base + (1 << shift) - 2, base + (1 << shift) - 1}
+    return sorted(samples)
+
+
+class TestDoubleStage:
+    """Stage 1 decides phases in doubles and passes the rest to the fixed
+    point: with it, every phase keeps the bits of stages 2 and 3 alone."""
+
+    _PRIMES = primes_in(AllPrimes(), 10**6)
+
+    @pytest.mark.parametrize("t", [
+        1.0, -3.1, 6.6667, 29.9, -29.9,
+        _DOUBLE_T_MIN, -_DOUBLE_T_MIN, _DOUBLE_T_MAX, -_DOUBLE_T_MAX,
+        math.nextafter(_DOUBLE_T_MAX, math.inf), -math.nextafter(_DOUBLE_T_MIN, 0.0),
+    ])
+    def test_bits_match_the_fixed_point_up_to_one_million(self, t):
+        phases, fallbacks = _reduced_phases(self._PRIMES, t)
+        want, want_fallbacks = _fixed_point_only(self._PRIMES, t)
+        assert [x.hex() for x in phases] == [x.hex() for x in want]
+        assert fallbacks <= want_fallbacks
+
+    @pytest.mark.parametrize("t", [1.0, -29.9, 0.37, _DOUBLE_T_MAX, -_DOUBLE_T_MIN])
+    def test_group_edges_match_the_reference(self, t):
+        members = _group_edges()
+        phases, fallbacks = _reduced_phases(members, t)
+        assert [x.hex() for x in phases] == [x.hex() for x in _reference_phases(members, t)]
+        assert fallbacks <= _fixed_point_only(members, t)[1]
+        # stage 1 decides a good share of them, so the edges test it
+        assert len(_double_phases(members, t)[1]) < 3 / 4 * len(members)
+
+    @pytest.mark.parametrize("top", [_LOG_TOP_LOW, 1031, 2 * _LOG_TOP_LOW - 1])
+    def test_one_top_at_every_shift_matches_the_reference(self, top):
+        # Consecutive members with one top and successive shifts lie in
+        # different groups, each with its own offset.
+        members = [(top << shift) + d for shift in range(1, 53) for d in (1, (1 << shift) - 1)]
+        phases, _ = _reduced_phases(members, 1.0)
+        assert [x.hex() for x in phases] == [x.hex() for x in _reference_phases(members, 1.0)]
+        assert len(_double_phases(members, 1.0)[1]) < len(members) / 2
+
+    @pytest.mark.parametrize("t, share", [(1.0, 0.95), (29.9, 0.7)])
+    def test_stage_one_decides_most_phases(self, t, share):
+        undecided = _double_phases(self._PRIMES, t)[1]
+        assert len(undecided) <= (1 - share) * len(self._PRIMES)
+
+    @pytest.mark.parametrize("t", [math.nextafter(_DOUBLE_T_MAX, math.inf), 1e6, -1e-5, 1e-300])
+    def test_stage_one_is_off_outside_its_range(self, t, monkeypatch):
+        def unreachable(members, t):
+            raise AssertionError("stage 1 ran outside its range")
+
+        monkeypatch.setattr(zeta, "_double_phases", unreachable)
+        assert _reduced_phases([2, 3, 5], t) == _fixed_point_only([2, 3, 5], t)
+
+    def test_series_within_its_budget(self):
+        # S = ln(p / base) from u = 2*(p - base) / (p + base) as stage 1
+        # evaluates it, within 2**-52 * S, at the largest u of each shift.
+        with mpmath.mp.workprec(200):
+            for shift in range(1, 53):
+                for top in (_LOG_TOP_LOW, 2 * _LOG_TOP_LOW - 1):
+                    base = top << shift
+                    for a in (1, (1 << shift) - 1):
+                        u = (a + a) / (2 * base + a)
+                        uu = u * u
+                        s = u + u * uu * (1 / 12 + uu / 80)
+                        exact = mpmath.log(mpmath.mpf(base + a) / base)
+                        assert abs(s - exact) <= 2.0**-52 * exact, (top, shift, a)
+
+    def test_double_band_holds_the_error_budget(self):
+        # The terms derived beside _DOUBLE_BAND_BITS at both ends of stage
+        # 1's range; a band 2**4 narrower fails here.
+        for big_t in (_DOUBLE_T_MIN, _DOUBLE_T_MAX):
+            series = big_t * 2.0**-62  # S within 2**-52 * S, and S < 2**-10
+            product = big_t * 2.0**-63
+            split = 2.0**-96 + 2.0**-104
+            sums = 2 * (big_t * 2.0**-63 + 2.0**-104)
+            fixed = (1 + big_t * 64 * math.log(2)) * (2.0**-92 + 2.0**-93)
+            budget = series + product + split + sums + fixed
+            assert budget <= (1 + big_t) * 2.0**-60 * 5 / 8
+            assert budget <= (1 + big_t) * 2.0**-_DOUBLE_BAND_BITS
+        # The range: above its top the band is wider than the ulp of phases
+        # in [1, 2); below its bottom every phase of t > 0 is below 2**-6.
+        assert 2 * (1 + _DOUBLE_T_MAX) * 2.0**-_DOUBLE_BAND_BITS <= 2.0**-52
+        assert 2 * (1 + 2 * _DOUBLE_T_MAX) * 2.0**-_DOUBLE_BAND_BITS > 2.0**-52
+        assert _DOUBLE_T_MIN * 64 * math.log(2) < 2.0**-6
 
 
 _NONFINITE = [math.nan, math.inf, -math.inf]
