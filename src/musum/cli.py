@@ -13,10 +13,11 @@ Exit codes:
 
 Output formats: ``plain`` targets humans; ``csv`` and ``json`` are the
 stable machine contracts (floats with 17 significant digits, exact rationals
-as "numerator/denominator", JSON keys in fixed order).  Each format writes a
-value by one rule per type, CSV's with a few overridden, and refuses any other
-type; CSV rows and JSON tables share one row writer.  With identical
-arguments and seed the emitted bytes are identical run to run.
+as "numerator/denominator", JSON keys in fixed order, and a CSV cell with a
+comma, a double quote, CR or LF quoted, its quotes doubled, per RFC 4180).
+Each format writes a value by one rule per type, CSV's with a few overridden,
+and refuses any other type; CSV rows and JSON tables share one row writer.
+With identical arguments and seed the emitted bytes are identical run to run.
 
 The semiprime and Beurling subcommands report bound violations as results,
 not failures: those systems are the documented counterexamples, and no
@@ -34,7 +35,6 @@ import functools
 import json
 import math
 import sys
-from collections import deque
 from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from itertools import chain, groupby, islice
@@ -61,13 +61,15 @@ FORMATS = ("plain", "csv", "json")
 
 # The text of a value by its exact type, so a bool is not taken for an int and
 # an unlisted type is refused.  JSON and plain text override CSV's rules.
+_CSV_QUOTED = frozenset(',"\r\n')
 _CSV: dict[type, Callable[[Any], str]] = {
     bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "",
-    int: str, str: str, float: "{:.17g}".format, Fraction: format_rational,
+    int: str, float: "{:.17g}".format, Fraction: format_rational,
+    str: lambda s: s if _CSV_QUOTED.isdisjoint(s) else '"' + s.replace('"', '""') + '"',
 }
 _JSON = {**_CSV, type(None): lambda _: "null", str: json.dumps,
          Fraction: lambda q: f'"{format_rational(q)}"'}
-_PLAIN = {**_CSV, bool: str, type(None): str}
+_PLAIN = {**_CSV, bool: str, type(None): str, str: str}
 
 
 def _refused(value: Any) -> str:
@@ -397,15 +399,10 @@ def _cmd_density(args) -> Report:
 def _cmd_enumerate(args) -> Report:
     spec = parse_spec(args.set)
     options = EnumerationOptions(squarefree_only=args.squarefree_only, backend=args.backend)
-    # Plain text pads every key to the longest, the last member's.  A first
-    # pass finds it; its table is gone before the streamed pass builds one.
-    width = 0
-    if args.format == "plain":
-        last = deque(enumerate_terms(spec, args.x, options), maxlen=1)
-        width = len(f"mu@{last[0][0]}") if last else 0
     # Every check has run by here.  The three views share one stream, since
-    # only the rendered format draws on it.
+    # only the rendered format draws on it; plain text pads each key to mu@x.
     terms = enumerate_terms(spec, args.x, options)
+    width = len(f"mu@{args.x}")
     table = Rows(("n", "mu"), terms)
     return Report(((f"mu@{n}".ljust(width), mu) for n, mu in terms),
                   {"set": args.set, "x": args.x, "terms": table}, table)

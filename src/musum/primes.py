@@ -53,7 +53,7 @@ from typing import Iterator
 
 from .errors import DomainError, ResourceError, SpecParseError
 
-# Sieving above this limit is refused rather than attempted; the flags hold
+# check_limit refuses every sieve and table above this limit; the flags hold
 # a byte per n, 100 MB at the ceiling, and building them takes no more than
 # that and a few chunks.  The package makes no claims about prime counting
 # beyond it.
@@ -155,19 +155,18 @@ def sieve_primes(limit: int) -> PrimeTable:
 
     Raises ResourceError above MAX_SIEVE_LIMIT.
     """
-    _check_sieve_limit(limit)
+    check_limit(limit)
     return PrimeTable(limit, tuple(_coded_primes(_prime_flags(limit), _PRIME)))
 
 
-def _check_sieve_limit(limit: int) -> None:
-    """The sieve bound check, made before anything is allocated: DomainError
-    below 0, ResourceError above MAX_SIEVE_LIMIT."""
+def check_limit(limit: int) -> None:
+    """The one bound check of every sieve and table, made before anything is
+    allocated: DomainError below 0, ResourceError above MAX_SIEVE_LIMIT."""
     if limit < 0:
-        raise DomainError(f"sieve limit must be >= 0, got {limit}")
+        raise DomainError(f"enumeration bound must be >= 0, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
-        raise ResourceError(
-            f"sieve limit {limit} exceeds the configured ceiling {MAX_SIEVE_LIMIT}"
-        )
+        raise ResourceError(f"enumeration up to {limit} exceeds the configured ceiling "
+                            f"{MAX_SIEVE_LIMIT}")
 
 
 def _runs(start: int, stop: int, step: int) -> Iterator[slice]:
@@ -395,7 +394,7 @@ def member_flags(spec: PrimeSetSpec, limit: int) -> bytearray:
     Raises DomainError below 0 and ResourceError above MAX_SIEVE_LIMIT, for
     every form.
     """
-    _check_sieve_limit(limit)
+    check_limit(limit)
     if isinstance(spec, AllPrimes):
         return _prime_flags(limit)
     flags = _member_marks(spec, limit)
@@ -531,7 +530,7 @@ def member_primes(spec: PrimeSetSpec, limit: int) -> Iterator[int]:
     over the marks; a finite set's are read off its list, without sieving,
     and every prime off the sieve flags, without marks.
     The limit is checked at the call."""
-    _check_sieve_limit(limit)
+    check_limit(limit)
     if isinstance(spec, FinitePrimes):
         return (p for p in spec.primes if p <= limit)
     if isinstance(spec, AllPrimes):

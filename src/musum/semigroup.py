@@ -43,11 +43,11 @@ from operator import mul, truediv
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ResourceError, UsageError
-from .primes import _CHUNK, _MEMBER, _PRIME, MAX_SIEVE_LIMIT, MR_PROVEN_BOUND, FinitePrimes
-from .primes import PrimeSetSpec, _coded_primes, _member_marks, _runs, _translate, _zero, is_prime
+from .primes import _CHUNK, _MEMBER, _PRIME, MR_PROVEN_BOUND, FinitePrimes, PrimeSetSpec
+from .primes import _coded_primes, _member_marks, _runs, _translate, _zero, check_limit, is_prime
 
-# Enumeration refuses x beyond the sieve's ceiling: every table is built on
-# the sieve's one array up to x.  Peak bytes per n (tracemalloc at x = 1e6):
+# Route costs: every table is built on the sieve's one array up to x, which
+# check_limit bounds.  Peak bytes per n (tracemalloc at x = 1e6):
 # 1.09 for member_table, float partial_sum, convergence_table,
 # mertens_window, enumerate (which streams its rows off the table) and all
 # that reads one table: the array itself, which is sieved, marked and
@@ -72,7 +72,6 @@ from .primes import PrimeSetSpec, _coded_primes, _member_marks, _runs, _translat
 # prefix S of rounded terms is one too, and |S| < H(10**8) < 20 puts
 # S - fsum(S) within ulp/2 <= 2**-48 of 0: at most 31 bits, which a double
 # holds exactly.
-MAX_ENUM_LIMIT = MAX_SIEVE_LIMIT
 
 # auto backend: for a finite set of at most 8 primes the heap steps only
 # through the members, far fewer than the x + 1 entries the sieve walks.
@@ -136,17 +135,6 @@ def mobius(n: int) -> int:
     primes = _distinct_prime_factors(n)
     # n is squarefree exactly when its distinct primes multiply back to n.
     return (-1) ** len(primes) if math.prod(primes) == n else 0
-
-
-def check_enum_limit(x: int) -> None:
-    """The enumeration bound check shared by every route, made before any
-    table is built: DomainError below 0, ResourceError above the ceiling."""
-    if x < 0:
-        raise DomainError(f"enumeration bound must be >= 0, got {x}")
-    if x > MAX_ENUM_LIMIT:
-        raise ResourceError(
-            f"enumeration up to {x} exceeds the configured ceiling {MAX_ENUM_LIMIT}"
-        )
 
 
 def _code_table(table: bytearray, x: int) -> bytearray:
@@ -218,7 +206,7 @@ def _band_add(target: bytearray, source: bytearray, action: bytes, result: bytes
 
 def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
     """The code table of <P> up to x."""
-    check_enum_limit(x)
+    check_limit(x)
     return _code_table(_member_marks(spec, x), x)
 
 
@@ -229,7 +217,7 @@ def code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:
     <P>.  A finite set's come from its list (a p > x zeroes an empty slice),
     with no marks until the table of <P> needs them; any other set's member
     primes up to x // top take one step each, and the larger ones go in bands."""
-    check_enum_limit(x)
+    check_limit(x)
     finite = isinstance(spec, FinitePrimes)
     marks = None if finite else _member_marks(spec, x)
     members = spec.primes if finite else _coded_primes(marks, _MEMBER, x // _band_top(x) + 1)
@@ -252,7 +240,7 @@ def smooth_split(spec: PrimeSetSpec, x: int) -> tuple[bytearray, array]:
     isqrt(x), and the members above it, ascending, from one membership pass:
     the members above isqrt(x) are read off the marks, then marked as other
     primes."""
-    check_enum_limit(x)
+    check_limit(x)
     marks = _member_marks(spec, x)
     root = math.isqrt(x)
     members = array("I", _coded_primes(marks, _MEMBER, start=root + 1))
@@ -310,8 +298,8 @@ def table_fsums(table: bytearray, grid: Sequence[int]) -> Iterator[tuple[float, 
     (Shewchuk 1997), so each value has the bits of any fsum of the same
     terms.  Each segment between grid points is read twice: with the exact
     prefix held as hi + lo, the next value is fsum(segment, hi, lo) and the
-    next lo is fsum(segment, hi, lo, -value), exact below MAX_ENUM_LIMIT
-    (see there).  The second read is skipped after the last point.
+    next lo is fsum(segment, hi, lo, -value), exact below MAX_SIEVE_LIMIT
+    (see Route costs).  The second read is skipped after the last point.
     """
     hi = lo = 0.0
     count = start = 0
@@ -383,7 +371,7 @@ def enumerate_terms(
     """Yield (n, mu(n)) for every n in <P> with n <= x exactly once, in
     strictly increasing order.  With squarefree_only, mu == 0 terms are
     omitted.  x = 0 yields an empty stream."""
-    check_enum_limit(x)
+    check_limit(x)
     backend = _resolve_backend(spec, options.backend)
     if backend == "heap":
         assert isinstance(spec, FinitePrimes)
@@ -403,7 +391,7 @@ def squarefree_terms(spec: PrimeSetSpec, x: int) -> Iterator[tuple[int, int]]:
 def tally(spec: PrimeSetSpec, x: int) -> tuple[int, int]:
     """(#{n <= x : n in <P>}, sum of mu(n) over those n) by the auto
     backend."""
-    check_enum_limit(x)
+    check_limit(x)
     if _resolve_backend(spec, "auto") == "heap":
         assert isinstance(spec, FinitePrimes)
         mus = [mu for _, mu in _heap_stream(spec.primes, x, False)]

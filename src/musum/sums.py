@@ -65,8 +65,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, UsageError
 from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
-from .primes import member_primes
-from .semigroup import _distinct_prime_factors, _heap_stream, check_enum_limit, code_tables
+from .primes import check_limit, member_primes
+from .semigroup import _distinct_prime_factors, _heap_stream, code_tables
 from .semigroup import member_table, mobius, smooth_split, squarefree_terms, table_count_squarefree
 from .semigroup import table_floor_sum, table_fsums, table_runs, table_terms
 
@@ -183,7 +183,7 @@ def _validate_mode_and_x(mode: str, x: int) -> None:
         raise UsageError(
             f"exact mode is limited to x <= {EXACT_CEILING}; use float mode for x = {x}"
         )
-    check_enum_limit(x)
+    check_limit(x)
 
 
 def _merge_sum(pairs: Iterable[tuple[int, int]], common: int, x: int) -> tuple[int, int, int]:

@@ -309,9 +309,7 @@ def _fixed_phases(pairs: Iterable[tuple[int, int]], t: float, phases: list[float
 def _reduced_phases(members: list[int], t: float) -> tuple[list[float], int]:
     """The reference phases of the members, and the number of members whose
     phase the reference had to give: stage 1 in doubles where its |t| range
-    allows, stage 2 in fixed point for the rest, then the reference."""
-    if t == 0.0:
-        return [0.0] * len(members), 0
+    allows, stage 2 in fixed point for the rest, then the reference (t != 0)."""
     if _DOUBLE_T_MIN <= abs(t) <= _DOUBLE_T_MAX:
         phases, undecided = _double_phases(members, t)
         pairs = zip(undecided, map(members.__getitem__, undecided))
@@ -392,10 +390,8 @@ def pathological_set(t: float, width: float, shift: float) -> LogFracPrimes:
 
     Shift 0 concentrates the phases of p**-it near 1, making the product
     blow up as s approaches 1 + i*t from the right; shift 1/2 concentrates
-    them near -1, making it vanish.
+    them near -1, making it vanish.  LogFracPrimes refuses t = 0.
     """
-    if t == 0.0:
-        raise DomainError("the scale t must be nonzero")
     return LogFracPrimes(t, width, shift)
 
 

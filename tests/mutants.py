@@ -56,6 +56,16 @@ WRAP = [PHASE + "test_phases_within_the_band_of_a_wrap_take_the_reference"]
 CONSTANTS = [PHASE + "test_series_constants_match_mpmath"]
 FIXED_LOG = [PHASE + "test_fixed_log_matches_mpmath"]
 ZETA_BROAD = ["tests/test_zeta.py"]
+PRIMES = "src/musum/primes.py"
+SEMIGROUP = "src/musum/semigroup.py"
+CLI = "src/musum/cli.py"
+MEMBER_FLAGS = ["tests/test_primes.py::TestMemberFlags::test_agrees_with_is_member"]
+DECISIONS = ["tests/test_primes.py::test_logfrac_decisions_identical_up_to_one_million"]
+WHEEL = ["tests/test_primes.py::test_wheel_listing_matches_compress_over_every_n"]
+GUARD = "tests/test_primes.py::TestOneCeilingGuard::"
+EVERY_PRIME = "tests/test_primes.py::TestMemberFlagsOfEveryPrime::"
+CODE_TABLE = ["tests/test_semigroup.py::TestCodeTableAgainstOracle"]
+WRITERS = "tests/test_cli.py::TestWriters::"
 
 
 @dataclass(frozen=True)
@@ -201,6 +211,74 @@ MUTANTS = [
            "    spec = pathological_set(",
            ["tests/test_cli.py::TestBadInputExitCodes::test_documented_code_without_traceback"],
            "blowup_scan with a prime limit below 2 divides by ln 1 = 0"),
+    # The code table of semigroup.
+    Mutant("code-table-flip-maps-3-to-1", SEMIGROUP,
+           "_FLIP = bytes((0, 2, 1, 3))", "_FLIP = bytes((0, 2, 1, 1))", CODE_TABLE,
+           "a member with mu 0 turned back into mu +1 by its next prime factor"),
+    Mutant("code-table-square-skipped-at-x", SEMIGROUP,
+           "            if square <= x:\n", "            if square < x:\n", CODE_TABLE,
+           "the square p**2 itself left squarefree when x = p**2"),
+    Mutant("code-table-non-member-zeroed-from-square", SEMIGROUP,
+           "            table[p::p] = bytearray(x // p)\n",
+           "            table[p * p :: p] = bytearray(len(range(p * p, x + 1, p)))\n", CODE_TABLE,
+           "a non-member p and its multiples below p**2 left in <P>"),
+    Mutant("code-table-start-marks-no-member", SEMIGROUP,
+           "_START = bytes((1, 5, 4))", "_START = bytes((1, 5, 5))", CODE_TABLE,
+           "every member prime started as a non-member: the table of the empty set"),
+    # The membership marks of primes.
+    Mutant("logfrac-band-zero", PRIMES,
+           "_LOGFRAC_BAND = 2.0**-30\n", "_LOGFRAC_BAND = 0.0\n", DECISIONS,
+           "no band: a prime within the double error of the width decided in doubles"),
+    Mutant("interval-low-end-off-by-one", PRIMES,
+           "start = max(math.floor(spec.lo) + 1, 0)", "start = max(math.floor(spec.lo), 0)",
+           MEMBER_FLAGS, "an interval's integer lower bound taken as a member"),
+    Mutant("interval-high-end-off-by-one", PRIMES,
+           "stop = min(math.floor(spec.hi) + 1, size)", "stop = min(math.floor(spec.hi), size)",
+           MEMBER_FLAGS, "an interval's integer upper bound left out"),
+    Mutant("finite-list-last-byte-dropped", PRIMES,
+           "            if p < size:\n                flags[p] = 2\n",
+           "            if p < size - 1:\n                flags[p] = 2\n", MEMBER_FLAGS,
+           "a listed prime equal to the limit not marked"),
+    Mutant("member-primes-finite-strict", PRIMES,
+           "(p for p in spec.primes if p <= limit)", "(p for p in spec.primes if p < limit)",
+           MEMBER_FLAGS, "a listed prime equal to the limit not listed"),
+    Mutant("member-primes-all-branch-dropped", PRIMES,
+           "    if isinstance(spec, AllPrimes):\n"
+           "        return _coded_primes(_prime_flags(limit), _PRIME)\n", "",
+           [EVERY_PRIME + "test_are_listed_off_the_sieve_flags"],
+           "every prime listed off the marks: the same list, after a translation of the "
+           "whole sieve"),
+    # The mod-30 wheel listing.
+    Mutant("wheel-spoke-dropped", PRIMES,
+           "_SPOKES = (1, 7, 11, 13, 17, 19, 23, 29)", "_SPOKES = (1, 7, 11, 13, 17, 19, 23)",
+           WHEEL, "the primes = 29 mod 30 never listed off the wheel"),
+    Mutant("wheel-block-base-off-by-30", PRIMES,
+           "repeat(base))", "repeat(base + 30))", WHEEL,
+           "each block's members listed one turn too high"),
+    Mutant("wheel-start-mask-one-short", PRIMES,
+           "        block[: start - base] = bytes(start - base)\n",
+           "        block[: start - base - 1] = bytes(start - base - 1)\n", WHEEL,
+           "a member at start - 1 listed when start is inside a turn"),
+    # The one ceiling guard.
+    Mutant("guard-refuses-the-ceiling", PRIMES,
+           "    if limit > MAX_SIEVE_LIMIT:\n", "    if limit >= MAX_SIEVE_LIMIT:\n",
+           [GUARD + "test_the_ceiling_itself_is_allowed"], "the ceiling itself refused"),
+    Mutant("guard-dropped-from-member-primes", PRIMES,
+           "    The limit is checked at the call.\"\"\"\n    check_limit(limit)\n",
+           "    The limit is checked at the call.\"\"\"\n",
+           [GUARD + "test_refused_before_the_sieve"],
+           "a finite set listed at a negative limit or past the ceiling"),
+    # The CSV quoting rule of the CLI.
+    Mutant("csv-quote-test-dropped", CLI,
+           "s if _CSV_QUOTED.isdisjoint(s) else ", "", [WRITERS + "test_every_kind_as_csv"],
+           "every str cell quoted, not only those that need it"),
+    Mutant("csv-inner-quotes-not-doubled", CLI,
+           """'"' + s.replace('"', '""') + '"'""", """'"' + s + '"'""",
+           [WRITERS + "test_every_kind_as_csv"], "a quote inside a quoted cell ends it early"),
+    Mutant("plain-inherits-csv-quoting", CLI,
+           "_PLAIN = {**_CSV, bool: str, type(None): str, str: str}",
+           "_PLAIN = {**_CSV, bool: str, type(None): str}", [WRITERS + "test_every_kind_as_plain"],
+           "plain text quotes a str as CSV does"),
 ]
 
 # Edits that the tests do not see, each kept with the reason it survives.
@@ -224,6 +302,10 @@ SURVIVORS = [
     Mutant("constants-guard-bit-dropped", ZETA,
            "_SERIES_GUARD_BITS = 32\n", "_SERIES_GUARD_BITS = 31\n", ZETA_BROAD,
            "31 guard bits round every constant to the same 96-bit value as 32 do"),
+    Mutant("logfrac-walk-gap-below-1e-12", PRIMES,
+           "            if gap < 0.0:\n", "            if gap < 1e-12:\n",
+           DECISIONS + MEMBER_FLAGS,
+           "equivalent: a gap decided in doubles is more than 2**-30 from 0"),
 ]
 
 

@@ -23,8 +23,8 @@ from musum.cli import (
     run,
 )
 from musum.errors import UsageError
-from musum.primes import parse_spec
-from musum.semigroup import MAX_ENUM_LIMIT, EnumerationOptions, enumerate_terms
+from musum.primes import MAX_SIEVE_LIMIT, parse_spec
+from musum.semigroup import EnumerationOptions, enumerate_terms
 from musum.sums import SumReport, ZornIdentity
 from musum.sweeps import SWEEP_KINDS, generate_instance, replay_instances, run_sweep
 
@@ -176,7 +176,7 @@ class TestFormats:
         assert "resource error" in err
 
 
-_OVER = str(MAX_ENUM_LIMIT + 1)
+_OVER = str(MAX_SIEVE_LIMIT + 1)
 
 
 class TestEnumerationCeiling:
@@ -248,6 +248,21 @@ class TestEnumerateStreams:
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_peak_at_a_million_stays_under_eight_megabytes(self, fmt):
         assert self._peak(10**6, fmt) < 8 * 10**6
+
+    def test_plain_keys_pad_to_mu_at_x_in_one_pass(self, capsys, monkeypatch):
+        # The last member, 64, has fewer digits than x: the keys still pad to mu@100.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_terms(*args)
+
+        monkeypatch.setattr(cli, "enumerate_terms", counted)
+        code, out, _ = _run(capsys, "enumerate", "--set", "finite:2", "--x", "100")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        mus = {1: 1, 2: -1, 4: 0, 8: 0, 16: 0, 32: 0, 64: 0}
+        assert out == "".join(f"{f'mu@{n}'.ljust(len('mu@100'))}  {mu}\n" for n, mu in mus.items())
 
 
 class TestWriters:
@@ -340,7 +355,7 @@ class TestWriters:
             "n,flag,value,mixed\n"
             "1,true,,0.10000000000000001\n"
             "2,0,0.5,ab\n"
-            '3,false,q"\\,-3/4\n'
+            '3,false,"q""\\",-3/4\n'
             "4,7,3/1,\n"
             "5,true,-1000000000000000000000000000000,true\n"
         )

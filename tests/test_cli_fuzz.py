@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from musum.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, FORMATS, _COMMANDS, run
-from musum.semigroup import MAX_ENUM_LIMIT
+from musum.primes import MAX_SIEVE_LIMIT
 from musum.sums import EXACT_CEILING
 
 _DOCUMENTED = {EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_RESOURCE}
@@ -29,10 +29,10 @@ _EDGE_REALS = ["nan", "-nan", "inf", "-inf", "1e-320", "-1e-320", "1e308", "-1e3
                "1e-17", "-0.0"] + _JUNK
 _REALS = ["0", "-1", "0.5", "1", "1.5", "2", "3.7", "100", "0.1", "0.25"]
 _SMALL = [0, -1, -7, 1, 2, 3, 6, 12, 30, 97, 100, 210, 1000, 9973, 10**4]
-_ABOVE = [MAX_ENUM_LIMIT + 1, EXACT_CEILING + 1, 10**12]
+_ABOVE = [MAX_SIEVE_LIMIT + 1, EXACT_CEILING + 1, 10**12]
 # A large prime and a composite with no factor below the trial-division
 # limit meet every integer option.
-_EDGE_INTS = _ABOVE + [MAX_ENUM_LIMIT - 1, EXACT_CEILING - 1, 2**63, -(2**63), 2**61 - 1,
+_EDGE_INTS = _ABOVE + [MAX_SIEVE_LIMIT - 1, EXACT_CEILING - 1, 2**63, -(2**63), 2**61 - 1,
                        (10**9 + 7) * (10**9 + 9)] + _EDGE_REALS
 _SPECS = [
     "all", "finite:", "finite:2,3", "finite:2,2", "finite:1000003", "cofinite:", "cofinite:5",

@@ -10,6 +10,7 @@ differently across Python versions.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -182,3 +183,21 @@ def test_golden_covers_every_case(golden):
 def test_output_bytes_match_golden(golden, case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert record(case, tmp_path) == golden[case]
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if "--format csv" in c])
+def test_csv_rows_have_the_header_width(case, tmp_path, monkeypatch):
+    """Every golden CSV case, read back by csv.reader: each row as wide as
+    the header, whatever its cells hold."""
+    monkeypatch.chdir(tmp_path)
+    for name, data in INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    argv = shlex.split(case)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) == 0
+    if "--out" in argv:  # the CSV went to a file
+        out = io.StringIO((tmp_path / argv[argv.index("--out") + 1]).read_text())
+    rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+    assert rows
+    assert [len(row) for row in rows] == [len(rows[0])] * len(rows)

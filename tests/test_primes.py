@@ -29,7 +29,9 @@ from musum.primes import (
 )
 from musum import primes as primes_module
 from musum.primes import _MEMBER, _PRIME, _coded_primes, _logfrac_marks, _member_marks, _prime_flags
-from musum.semigroup import _GENERATOR, member_table
+from musum.semigroup import _GENERATOR, code_tables, count_members, enumerate_terms, member_table
+from musum.semigroup import smooth_split
+from musum.sums import partial_sum
 
 from oracles import odd_wheel_sieve, plain_sieve_flags, trial_division_primes
 
@@ -78,6 +80,44 @@ class TestSievePrimes:
     def test_negative_limit(self):
         with pytest.raises(DomainError):
             sieve_primes(-1)
+
+
+# Every sieve and table entry point, each called far enough to reach its
+# bound check.
+_GUARDED = {
+    "sieve_primes": sieve_primes,
+    "member_flags": lambda x: member_flags(AllPrimes(), x),
+    "member_primes": lambda x: member_primes(FinitePrimes((2, 3)), x),
+    "member_table": lambda x: member_table(ResiduePrimes(1, 4), x),
+    "code_tables": lambda x: next(code_tables(ResiduePrimes(1, 4), x)),
+    "smooth_split": lambda x: smooth_split(AllPrimes(), x),
+    "enumerate_terms": lambda x: enumerate_terms(AllPrimes(), x),
+    "count_members": lambda x: count_members(CofinitePrimes((2,)), x),
+    "float partial_sum": lambda x: partial_sum(AllPrimes(), x, mode="float"),
+}
+
+
+class TestOneCeilingGuard:
+    """Every sieve and table answers a bound below 0 or above the ceiling
+    with the error of the one check, check_limit, before it sieves."""
+
+    @pytest.mark.parametrize("x", [-1, MAX_SIEVE_LIMIT + 1])
+    @pytest.mark.parametrize("name", list(_GUARDED))
+    def test_refused_before_the_sieve(self, monkeypatch, name, x):
+        def refuse(limit):
+            raise AssertionError(f"sieved up to {limit} before the bound check")
+
+        monkeypatch.setattr(primes_module, "_prime_flags", refuse)
+        with pytest.raises((DomainError, ResourceError)) as want:
+            primes_module.check_limit(x)
+        with pytest.raises(want.type) as got:
+            _GUARDED[name](x)
+        if name != "float partial_sum" or x >= 0:  # its own x >= 0 check answers first
+            assert str(got.value) == str(want.value)
+
+    def test_the_ceiling_itself_is_allowed(self):
+        primes_module.check_limit(MAX_SIEVE_LIMIT)
+        assert list(member_primes(FinitePrimes((2, 3)), MAX_SIEVE_LIMIT)) == [2, 3]
 
 
 class TestMembership:

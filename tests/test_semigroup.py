@@ -530,7 +530,7 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
         assert routes == [route, route], (spec, x)
 
 
-# The peak bytes per n of x that the MAX_ENUM_LIMIT comment states for each
+# The peak bytes per n of x that semigroup's route-cost comment states for each
 # route, plus the few KB of Python objects and chunks any call holds, plus
 # 4 bytes per member prime where smooth_split keeps the members as one
 # array, and for the <P'> routes, whose band chunks beside two arrays of x

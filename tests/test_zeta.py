@@ -336,8 +336,18 @@ class TestPhaseReduction:
         assert _reduced_phases(small, 1e-310)[1] == len(small)
         assert _reference_phases([2], 1.0)[0] == math.log(2)
 
-    def test_zero_scale_needs_no_reference(self):
-        assert _reduced_phases([2, 3, 5], 0.0) == ([0.0, 0.0, 0.0], 0)
+    def test_no_public_call_reduces_phases_at_zero_scale(self, monkeypatch):
+        # zeta_p takes the real-axis product at Im(s) = +-0.0, and blowup_scan
+        # refuses t = 0 through LogFracPrimes, before any phase is reduced.
+        def refuse(members, t):
+            raise AssertionError(f"_reduced_phases called at t = {t!r}")
+
+        monkeypatch.setattr(zeta, "_reduced_phases", refuse)
+        for im in (0.0, -0.0):
+            value = zeta_p(AllPrimes(), complex(2.0, im), 1000).value
+            assert value.imag == 0.0 and 1.6 < value.real < 1.65
+        with pytest.raises(DomainError, match="nonzero"):
+            blowup_scan(0.0, 0.0, [0.5, 0.2], prime_limit=100)
 
     def test_series_constants_match_mpmath(self):
         # Each constant is its value rounded to _PHASE_FRAC_BITS fractional
