@@ -21,7 +21,7 @@ from itertools import accumulate, repeat
 from pathlib import Path
 
 from .errors import DomainError
-from .primes import AllPrimes, IntervalPrimes, PrimeSetSpec, render_spec
+from .primes import AllPrimes, IntervalPrimes, PrimeSetSpec, check_limit, render_spec
 from .semigroup import _heap_stream, code_tables, member_table, squarefree_terms, table_fsums
 from .semigroup import table_mobius_sum, table_primes, tally
 from .sums import SumReport, _report, _validate_mode_and_x
@@ -58,11 +58,11 @@ class ConvergenceRow:
 
 
 def _checked_grid_max(x_grid: list[int]) -> int:
-    """Validate each grid point as a float-mode partial sum would; the largest."""
+    """The largest grid point, each point checked by check_limit."""
     if not x_grid:
         raise DomainError("x grid must be nonempty")
     for x in x_grid:
-        _validate_mode_and_x("float", x)
+        check_limit(x)
     return max(x_grid)
 
 

@@ -598,11 +598,10 @@ def parse_spec(text: str) -> PrimeSetSpec:
         m = _RESIDUE_RE.match(body)
         if not m:
             raise SpecParseError("residue requires the form A mod M", offset)
-        a = int(m.group(1))
-        modulus = int(m.group(2))
-        if modulus < 2:
-            raise SpecParseError(f"residue modulus must be >= 2, got {modulus}", offset + m.start(2))
-        return ResiduePrimes(a, modulus)
+        try:
+            return ResiduePrimes(int(m.group(1)), int(m.group(2)))
+        except DomainError as exc:
+            raise SpecParseError(str(exc), offset + m.start(2)) from None
     if head == "logfrac":
         m = re.match(r"t=([^,]*),w=([^,]*),s=([^,]*)$", body)
         if not m:

@@ -212,12 +212,17 @@ def member_table(spec: PrimeSetSpec, x: int) -> bytearray:
 
 def code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:
     """The membership flags of <P'> up to x, then the code table of <P>, each
-    built when asked for.  <P'> is the n >= 1 that no member prime divides,
-    so its flags are sieved from the members alone, sharing no builder with
-    <P>.  A finite set's come from its list (a p > x zeroes an empty slice),
-    with no marks until the table of <P> needs them; any other set's member
-    primes up to x // top take one step each, and the larger ones go in bands."""
+    built when asked for; the limit is checked at the call.  <P'> is the
+    n >= 1 that no member prime divides, so its flags are sieved from the
+    members alone, sharing no code with the table of <P>.  A finite set's
+    come from its list (a p > x zeroes an empty slice), with no marks until
+    the table of <P> needs them; any other set's member primes up to
+    x // top take one step each, and the larger ones go in bands."""
     check_limit(x)
+    return _code_tables(spec, x)
+
+
+def _code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:
     finite = isinstance(spec, FinitePrimes)
     marks = None if finite else _member_marks(spec, x)
     members = spec.primes if finite else _coded_primes(marks, _MEMBER, x // _band_top(x) + 1)
@@ -351,18 +356,14 @@ def _heap_stream(primes: tuple[int, ...], x: int, squarefree_only: bool
             heapq.heappush(heap, (m, j, 0 if j == i else -mu))
 
 
-def _resolve_backend(spec: PrimeSetSpec, backend: str) -> str:
-    if backend == "heap":
-        if not isinstance(spec, FinitePrimes):
-            raise UsageError("the heap backend requires a finite prime set")
-        return "heap"
-    if backend == "sieve":
-        return "sieve"
-    if backend == "auto":
-        if isinstance(spec, FinitePrimes) and len(spec.primes) <= _AUTO_HEAP_MAX_PRIMES:
-            return "heap"
-        return "sieve"
-    raise UsageError(f"unknown backend {backend!r} (expected sieve, heap or auto)")
+def _heap_primes(spec: PrimeSetSpec, backend: str) -> tuple[int, ...] | None:
+    """The primes that the heap merges for this backend, or None for the table."""
+    if backend not in ("sieve", "heap", "auto"):
+        raise UsageError(f"unknown backend {backend!r} (expected sieve, heap or auto)")
+    if backend == "heap" and not isinstance(spec, FinitePrimes):
+        raise UsageError("the heap backend requires a finite prime set")
+    small = isinstance(spec, FinitePrimes) and len(spec.primes) <= _AUTO_HEAP_MAX_PRIMES
+    return spec.primes if backend == "heap" or backend == "auto" and small else None
 
 
 def enumerate_terms(
@@ -372,10 +373,9 @@ def enumerate_terms(
     strictly increasing order.  With squarefree_only, mu == 0 terms are
     omitted.  x = 0 yields an empty stream."""
     check_limit(x)
-    backend = _resolve_backend(spec, options.backend)
-    if backend == "heap":
-        assert isinstance(spec, FinitePrimes)
-        return _heap_stream(spec.primes, x, options.squarefree_only)
+    primes = _heap_primes(spec, options.backend)
+    if primes is not None:
+        return _heap_stream(primes, x, options.squarefree_only)
     return table_terms(member_table(spec, x), x, options.squarefree_only)
 
 
@@ -392,9 +392,9 @@ def tally(spec: PrimeSetSpec, x: int) -> tuple[int, int]:
     """(#{n <= x : n in <P>}, sum of mu(n) over those n) by the auto
     backend."""
     check_limit(x)
-    if _resolve_backend(spec, "auto") == "heap":
-        assert isinstance(spec, FinitePrimes)
-        mus = [mu for _, mu in _heap_stream(spec.primes, x, False)]
+    primes = _heap_primes(spec, "auto")
+    if primes is not None:
+        mus = [mu for _, mu in _heap_stream(primes, x, False)]
         return len(mus), sum(mus)
     table = member_table(spec, x)
     return x + 1 - table.count(0), table_mobius_sum(table, 0, x + 1)  # table[0] == 0

@@ -177,8 +177,6 @@ def _decimal_text(n: int) -> str:
 def _validate_mode_and_x(mode: str, x: int) -> None:
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r} (expected 'exact' or 'float')")
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
     if mode == "exact" and x > EXACT_CEILING:
         raise UsageError(
             f"exact mode is limited to x <= {EXACT_CEILING}; use float mode for x = {x}"
@@ -412,8 +410,6 @@ def euler_product(spec: PrimeSetSpec) -> Fraction:
 def euler_product_partial(spec: PrimeSetSpec, prime_limit: int) -> float:
     """Truncated product of (1 - 1/p) over members p <= prime_limit, in
     floating arithmetic; non-increasing in the limit."""
-    if prime_limit < 0:
-        raise DomainError(f"prime limit must be >= 0, got {prime_limit}")
     result = 1.0
     for p in member_primes(spec, prime_limit):
         result *= 1.0 - 1.0 / p

@@ -385,14 +385,11 @@ def log_identity_residual(spec: PrimeSetSpec, sigma: float, prime_limit: int) ->
     return math.fsum(-math.log1p(-z) - z for z in powers)
 
 
-def pathological_set(t: float, width: float, shift: float) -> LogFracPrimes:
-    """The log-fraction prime family at scale t.
-
-    Shift 0 concentrates the phases of p**-it near 1, making the product
-    blow up as s approaches 1 + i*t from the right; shift 1/2 concentrates
-    them near -1, making it vanish.  LogFracPrimes refuses t = 0.
-    """
-    return LogFracPrimes(t, width, shift)
+# The log-fraction prime family at scale t, (t, width, shift).  Shift 0
+# concentrates the phases of p**-it near 1, making the product blow up as s
+# approaches 1 + i*t from the right; shift 1/2 concentrates them near -1,
+# making it vanish.
+pathological_set = LogFracPrimes
 
 
 def blowup_scan(
@@ -418,7 +415,7 @@ def blowup_scan(
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps values must be strictly descending")
     _require_prime_limit(prime_limit)
-    spec = pathological_set(t, width, shift)
+    spec = LogFracPrimes(t, width, shift)
     members = primes_in(spec, prime_limit)
     units = list(_unit_factors(_reduced_phases(members, t)[0]))
     rows = []

@@ -59,6 +59,7 @@ ZETA_BROAD = ["tests/test_zeta.py"]
 PRIMES = "src/musum/primes.py"
 SEMIGROUP = "src/musum/semigroup.py"
 CLI = "src/musum/cli.py"
+EXPERIMENTS = "src/musum/experiments.py"
 MEMBER_FLAGS = ["tests/test_primes.py::TestMemberFlags::test_agrees_with_is_member"]
 DECISIONS = ["tests/test_primes.py::test_logfrac_decisions_identical_up_to_one_million"]
 WHEEL = ["tests/test_primes.py::test_wheel_listing_matches_compress_over_every_n"]
@@ -207,8 +208,8 @@ MUTANTS = [
            [PHASE + "test_bits_match_the_reference"],
            "each reference phase written one place too low"),
     Mutant("blowup-no-prime-limit-check", ZETA,
-           "    _require_prime_limit(prime_limit)\n    spec = pathological_set(",
-           "    spec = pathological_set(",
+           "    _require_prime_limit(prime_limit)\n    spec = LogFracPrimes(",
+           "    spec = LogFracPrimes(",
            ["tests/test_cli.py::TestBadInputExitCodes::test_documented_code_without_traceback"],
            "blowup_scan with a prime limit below 2 divides by ln 1 = 0"),
     # The code table of semigroup.
@@ -268,6 +269,35 @@ MUTANTS = [
            "    The limit is checked at the call.\"\"\"\n",
            [GUARD + "test_refused_before_the_sieve"],
            "a finite set listed at a negative limit or past the ceiling"),
+    # The entry checks: each bound and each heap-or-table route decided once, at the call.
+    Mutant("check-limit-allows-minus-one", PRIMES,
+           "    if limit < 0:\n", "    if limit < -1:\n", [GUARD + "test_refused_before_the_sieve"],
+           "a bound of -1 passed on to the sieve"),
+    Mutant("code-tables-check-in-generator", SEMIGROUP,
+           "    check_limit(x)\n    return _code_tables(spec, x)\n\n\n"
+           "def _code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:\n",
+           "    return _code_tables(spec, x)\n\n\n"
+           "def _code_tables(spec: PrimeSetSpec, x: int) -> Iterator[bytearray]:\n"
+           "    check_limit(x)\n", [GUARD + "test_refused_before_the_sieve"],
+           "code_tables checks its limit at the first next(), not at the call"),
+    Mutant("code-tables-flags-kept", SEMIGROUP,
+           "    del outside  # gone before the table of <P> is built\n", "",
+           ["tests/test_semigroup.py::test_table_routes_stay_within_their_stated_memory"
+            "[gran_residual_finite]"],
+           "the flags of <P'> alive while the table of <P> is built: a second array of x bytes"),
+    Mutant("residue-position-at-offset", PRIMES,
+           "raise SpecParseError(str(exc), offset + m.start(2)) from None",
+           "raise SpecParseError(str(exc), offset) from None",
+           ["tests/test_primes.py::TestGrammar::test_residue_modulus_reports_message_and_position"],
+           "a bad residue modulus reported at the start of the body, not at the modulus"),
+    Mutant("grid-check-dropped", EXPERIMENTS,
+           "    for x in x_grid:\n        check_limit(x)\n", "",
+           [GUARD + "test_sum_routes_refused_below_zero_before_the_sieve"],
+           "a grid point below 0 read as an empty prefix of the table"),
+    Mutant("heap-primes-strict", SEMIGROUP,
+           "len(spec.primes) <= _AUTO_HEAP_MAX_PRIMES", "len(spec.primes) < _AUTO_HEAP_MAX_PRIMES",
+           ["tests/test_semigroup.py::test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes"],
+           "a finite set of exactly 8 primes sent to the table"),
     # The CSV quoting rule of the CLI.
     Mutant("csv-quote-test-dropped", CLI,
            "s if _CSV_QUOTED.isdisjoint(s) else ", "", [WRITERS + "test_every_kind_as_csv"],

@@ -2,6 +2,7 @@ import bisect
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import compress
 
 import mpmath
@@ -31,7 +32,9 @@ from musum import primes as primes_module
 from musum.primes import _MEMBER, _PRIME, _coded_primes, _logfrac_marks, _member_marks, _prime_flags
 from musum.semigroup import _GENERATOR, code_tables, count_members, enumerate_terms, member_table
 from musum.semigroup import smooth_split
-from musum.sums import partial_sum
+from musum.experiments import convergence_table
+from musum.sums import WeightFunction, euler_product_partial, partial_sum, partial_sum_coprime
+from musum.sums import partial_sum_divisors, partial_sum_shifted, weighted_partial_sum
 
 from oracles import odd_wheel_sieve, plain_sieve_flags, trial_division_primes
 
@@ -89,11 +92,23 @@ _GUARDED = {
     "member_flags": lambda x: member_flags(AllPrimes(), x),
     "member_primes": lambda x: member_primes(FinitePrimes((2, 3)), x),
     "member_table": lambda x: member_table(ResiduePrimes(1, 4), x),
-    "code_tables": lambda x: next(code_tables(ResiduePrimes(1, 4), x)),
+    "code_tables": lambda x: code_tables(ResiduePrimes(1, 4), x),
     "smooth_split": lambda x: smooth_split(AllPrimes(), x),
     "enumerate_terms": lambda x: enumerate_terms(AllPrimes(), x),
     "count_members": lambda x: count_members(CofinitePrimes((2,)), x),
     "float partial_sum": lambda x: partial_sum(AllPrimes(), x, mode="float"),
+    "euler_product_partial": lambda x: euler_product_partial(AllPrimes(), x),
+}
+
+# The exact sum routes, which answer a bound above the exact ceiling with
+# that ceiling's error, so only the bound below 0 reaches check_limit.
+_GUARDED_BELOW_ZERO = {
+    "exact partial_sum": lambda x: partial_sum(AllPrimes(), x),
+    "partial_sum_coprime": lambda x: partial_sum_coprime(6, x),
+    "partial_sum_divisors": lambda x: partial_sum_divisors(12, x),
+    "partial_sum_shifted": lambda x: partial_sum_shifted(5, x),
+    "weighted_partial_sum": lambda x: weighted_partial_sum(WeightFunction({2: Fraction(1, 3)}), x),
+    "convergence_table": lambda x: convergence_table(AllPrimes(), [x, 10]),
 }
 
 
@@ -104,6 +119,14 @@ class TestOneCeilingGuard:
     @pytest.mark.parametrize("x", [-1, MAX_SIEVE_LIMIT + 1])
     @pytest.mark.parametrize("name", list(_GUARDED))
     def test_refused_before_the_sieve(self, monkeypatch, name, x):
+        self.assert_refused_as_check_limit(monkeypatch, _GUARDED[name], x)
+
+    @pytest.mark.parametrize("name", list(_GUARDED_BELOW_ZERO))
+    def test_sum_routes_refused_below_zero_before_the_sieve(self, monkeypatch, name):
+        self.assert_refused_as_check_limit(monkeypatch, _GUARDED_BELOW_ZERO[name], -1)
+
+    @staticmethod
+    def assert_refused_as_check_limit(monkeypatch, call, x):
         def refuse(limit):
             raise AssertionError(f"sieved up to {limit} before the bound check")
 
@@ -111,9 +134,8 @@ class TestOneCeilingGuard:
         with pytest.raises((DomainError, ResourceError)) as want:
             primes_module.check_limit(x)
         with pytest.raises(want.type) as got:
-            _GUARDED[name](x)
-        if name != "float partial_sum" or x >= 0:  # its own x >= 0 check answers first
-            assert str(got.value) == str(want.value)
+            call(x)
+        assert str(got.value) == str(want.value)
 
     def test_the_ceiling_itself_is_allowed(self):
         primes_module.check_limit(MAX_SIEVE_LIMIT)
@@ -323,6 +345,16 @@ class TestGrammar:
         ("cofinite:2,1", "1 is not prime", 11),
     ])
     def test_composite_reports_message_and_position(self, text, message, position):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("residue:1 mod 1", "residue modulus must be >= 2, got 1", 14),
+        ("residue:-3 mod 0", "residue modulus must be >= 2, got 0", 15),
+    ])
+    def test_residue_modulus_reports_message_and_position(self, text, message, position):
         with pytest.raises(SpecParseError) as err:
             parse_spec(text)
         assert str(err.value) == f"{message} (at position {position})"

@@ -539,7 +539,9 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
 # with five integers the size of its result's denominator, which the last
 # step of its tree holds.
 # The set is 1 mod 4, and all for a second member_table and zorn_check
-# case, in which every chunk of every band holds member primes.
+# case, in which every chunk of every band holds member primes.  A finite
+# set's <P'> flags need no marks, so its gran_residual holds one array at a
+# time if the flags are gone before the table of <P> is built.
 @pytest.mark.parametrize(
     "route, spec, x, per_n, per_member, per_result",
     [
@@ -550,13 +552,14 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
         (zorn_check, AllPrimes(), 10**6, 2, 4, 0),
         (lambda spec, x: convergence_table(spec, [x]), ResiduePrimes(1, 4), 10**6, 1.25, 0, 0),
         (lambda spec, x: gran_residual(spec, [x]), ResiduePrimes(1, 4), 10**6, 2, 4, 0),
+        (lambda spec, x: gran_residual(spec, [x]), FinitePrimes((2, 3, 5)), 10**6, 1.25, 0, 0),
         (partial_sum, ResiduePrimes(1, 4), EXACT_CEILING, 1.4, 4, 0),
         (partial_sum, AllPrimes(), EXACT_CEILING, 1.4, 4, 5),
         (lambda spec, x: partial_sum(spec, x, "float"), ResiduePrimes(1, 4), 10**6, 1.25, 0, 0),
     ],
     ids=["member_table", "member_table_all", "count_members_outside", "zorn_check",
-         "zorn_check_all", "convergence_table", "gran_residual", "partial_sum", "partial_sum_all",
-         "partial_sum_float"],
+         "zorn_check_all", "convergence_table", "gran_residual", "gran_residual_finite",
+         "partial_sum", "partial_sum_all", "partial_sum_float"],
 )
 def test_table_routes_stay_within_their_stated_memory(route, spec, x, per_n, per_member,
                                                        per_result):
