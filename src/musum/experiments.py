@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import DomainError
 from .primes import AllPrimes, IntervalPrimes, PrimeSetSpec, check_limit, render_spec
-from .semigroup import _heap_stream, code_tables, member_table, squarefree_terms, table_fsums
+from .semigroup import _product_stream, code_tables, member_table, squarefree_terms, table_fsums
 from .semigroup import table_mobius_sum, table_primes, tally
 from .sums import SumReport, _report, _validate_mode_and_x
 
@@ -230,5 +230,5 @@ def beurling_partial_sum(system: BeurlingSystem, x: float) -> float:
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
     cutoff = x * (1.0 + BEURLING_RELATIVE_TOLERANCE)
-    products = _heap_stream(tuple(sorted(system.generators)), cutoff, True)
+    products = _product_stream(tuple(sorted(system.generators)), cutoff, True)
     return math.fsum(mu / value for value, mu in products)

@@ -3,7 +3,8 @@ set, with Mobius values.
 
 For a prime set P, the semigroup <P> is the set of natural numbers all of
 whose prime factors lie in P; it always contains 1 (the empty product).  Two
-independent backends produce the stream (n, mu(n)) in strictly increasing n:
+independent backends, which cross-validate each other (tests require their
+streams to be identical), produce (n, mu(n)) in strictly increasing n:
 
 * ``sieve`` builds a code table with one byte per n up to x in the one
   array that the prime sieve and the membership marks of ``primes`` were
@@ -24,17 +25,13 @@ independent backends produce the stream (n, mu(n)) in strictly increasing n:
   ``map(truediv, ...)`` of each run's mu(n) and n, so no Python frame runs
   per term.  Between grid points the exact prefix rides along as two
   doubles, so each segment is read twice, not once per later point;
-* ``heap``  (finite P only) generalises the classic merge generation of
-  Hamming numbers: each member is extended by generators whose index is at
-  least the largest one already used, so every member appears exactly once.
-
-The two backends exist to cross-validate each other; tests require their
-streams to be identical.
+* ``heap``  (finite P only) walks the products of P's primes depth first,
+  each once, in no set order; ``enumerate_terms`` sorts them.  The CLI's
+  ``--backend`` keeps the name of the heap merge that the walk replaced.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from dataclasses import dataclass
@@ -72,6 +69,12 @@ from .primes import _coded_primes, _member_marks, _runs, _translate, _zero, chec
 # prefix S of rounded terms is one too, and |S| < H(10**8) < 20 puts
 # S - fsum(S) within ulp/2 <= 2**-48 of 0: at most 31 bits, which a double
 # holds exactly.
+# A finite set's walk (_product_stream) holds no table, only its stack: the
+# unwalked siblings at each depth take disjoint ranges of the list, so it
+# holds at most one entry per listed prime p <= x, about 130 bytes each (a
+# 3-tuple, n, an index and a list slot): 165 KB for the 1229 primes below
+# 1e4 at any x.  enumerate's heap route also holds its sorted list of terms,
+# about 100 bytes each: 4.3 MB for the 8 smallest primes at 1e8.
 
 # auto backend: for a finite set of at most 8 primes the heap steps only
 # through the members, far fewer than the x + 1 entries the sieve walks.
@@ -335,29 +338,26 @@ def table_floor_sum(table: bytearray, x: int) -> int:
     return total
 
 
-def _heap_stream(primes: tuple[int, ...], x: int, squarefree_only: bool
-                 ) -> Iterator[tuple[int, int]]:
-    """(n, mu(n)) by merge generation for finite P: pop the smallest member,
-    extend it by generators with index >= the largest index already used.
-    Ascending real generators > 1 work too, each product formed in index order."""
-    if x >= 1:
-        yield 1, 1
-    gens = [p for p in primes if p <= x]
-    heap = [(p, i, -1) for i, p in enumerate(gens)]
-    heapq.heapify(heap)
-    while heap:
-        n, i, mu = heapq.heappop(heap)
+def _product_stream(primes: tuple[int, ...], x: int, squarefree_only: bool
+                    ) -> Iterator[tuple[int, int]]:
+    """(n, mu(n)) for each product n <= x of the ascending generators
+    ``primes`` once, in no set order: depth first from 1, each member is
+    extended by the generators from the last one it used (after it with
+    squarefree_only) to the first product past x.  Each product is formed
+    in index order, so ascending real generators > 1 work too."""
+    stack = [(1, 1, -1)] if x >= 1 else []
+    while stack:
+        n, mu, i = stack.pop()
         yield n, mu
-        start = i + 1 if squarefree_only else i
-        for j in range(start, len(gens)):
-            m = n * gens[j]
+        for j in range(i + 1 if squarefree_only else max(i, 0), len(primes)):
+            m = n * primes[j]
             if m > x:
                 break
-            heapq.heappush(heap, (m, j, 0 if j == i else -mu))
+            stack.append((m, 0 if j == i else -mu, j))
 
 
 def _heap_primes(spec: PrimeSetSpec, backend: str) -> tuple[int, ...] | None:
-    """The primes that the heap merges for this backend, or None for the table."""
+    """The primes whose products the heap route walks, or None for the table."""
     if backend not in ("sieve", "heap", "auto"):
         raise UsageError(f"unknown backend {backend!r} (expected sieve, heap or auto)")
     if backend == "heap" and not isinstance(spec, FinitePrimes):
@@ -375,16 +375,16 @@ def enumerate_terms(
     check_limit(x)
     primes = _heap_primes(spec, options.backend)
     if primes is not None:
-        return _heap_stream(primes, x, options.squarefree_only)
+        return iter(sorted(_product_stream(primes, x, options.squarefree_only)))
     return table_terms(member_table(spec, x), x, options.squarefree_only)
 
 
 def squarefree_terms(spec: PrimeSetSpec, x: int) -> Iterator[tuple[int, int]]:
-    """(n, mu(n)) for the nonzero-mu members of <P> up to x, ascending;
-    finite sets skip the table since they have at most 2**|P| squarefree
-    members."""
+    """(n, mu(n)) for the nonzero-mu members of <P> up to x: ascending off
+    the table, and in no set order for a finite set, whose products are
+    walked with no table since it has at most 2**|P| squarefree members."""
     if isinstance(spec, FinitePrimes):
-        return _heap_stream(spec.primes, x, True)
+        return _product_stream(spec.primes, x, True)
     return table_terms(member_table(spec, x), x, True)
 
 
@@ -394,7 +394,7 @@ def tally(spec: PrimeSetSpec, x: int) -> tuple[int, int]:
     check_limit(x)
     primes = _heap_primes(spec, "auto")
     if primes is not None:
-        mus = [mu for _, mu in _heap_stream(primes, x, False)]
+        mus = [mu for _, mu in _product_stream(primes, x, False)]
         return len(mus), sum(mus)
     table = member_table(spec, x)
     return x + 1 - table.count(0), table_mobius_sum(table, 0, x + 1)  # table[0] == 0

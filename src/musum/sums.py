@@ -66,7 +66,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import DomainError, UsageError
 from .primes import AllPrimes, CofinitePrimes, FinitePrimes, PrimeSetSpec, is_prime, render_spec
 from .primes import check_limit, member_primes
-from .semigroup import _distinct_prime_factors, _heap_stream, code_tables
+from .semigroup import _distinct_prime_factors, _product_stream, code_tables
 from .semigroup import member_table, mobius, smooth_split, squarefree_terms, table_count_squarefree
 from .semigroup import table_floor_sum, table_fsums, table_runs, table_terms
 
@@ -88,8 +88,7 @@ FLOAT_ERROR_PER_TERM = 4 * sys.float_info.epsilon
 
 MODES = ("exact", "float")
 
-# A term is (num, den) for the contribution num/den; terms arrive in the
-# order of strictly increasing n.
+# A term is (num, den) for the contribution num/den, in no set order.
 Term = tuple[int, int]
 
 
@@ -357,7 +356,7 @@ def partial_sum_divisors(N: int, x: int, mode: str = "exact") -> SumReport:
         raise DomainError(f"N must be >= 1, got {N}")
     _validate_mode_and_x(mode, x)
     # The divisors with nonzero mu are the squarefree products of N's primes.
-    terms = ((mu, d) for d, mu in _heap_stream(_distinct_prime_factors(N), x, True))
+    terms = ((mu, d) for d, mu in _product_stream(_distinct_prime_factors(N), x, True))
     return _report(f"divisors:N={N}", x, mode, terms)
 
 
@@ -383,7 +382,7 @@ def zorn_check(spec: PrimeSetSpec, x: int) -> ZornIdentity:
     Both sides come from one membership pass, or from a finite P's list with
     none, but are counted independently: the left on the flags of <P'>,
     sieved from the member primes alone, the right on the code table of <P>
-    in floor blocks (``table_floor_sum``), or term-wise from the heap for finite P.
+    in floor blocks (``table_floor_sum``), or term-wise off the walk for finite P.
     """
     if x < 1:
         raise DomainError(f"zorn identity requires x >= 1, got {x}")

@@ -67,6 +67,8 @@ GUARD = "tests/test_primes.py::TestOneCeilingGuard::"
 EVERY_PRIME = "tests/test_primes.py::TestMemberFlagsOfEveryPrime::"
 CODE_TABLE = ["tests/test_semigroup.py::TestCodeTableAgainstOracle"]
 WRITERS = "tests/test_cli.py::TestWriters::"
+ENUMERATE = "tests/test_semigroup.py::TestEnumerate::"
+WALK = ["tests/test_semigroup.py::test_walk_matches_the_table_for_a_set_of_many_primes"]
 
 
 @dataclass(frozen=True)
@@ -298,6 +300,26 @@ MUTANTS = [
            "len(spec.primes) <= _AUTO_HEAP_MAX_PRIMES", "len(spec.primes) < _AUTO_HEAP_MAX_PRIMES",
            ["tests/test_semigroup.py::test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes"],
            "a finite set of exactly 8 primes sent to the table"),
+    # The depth-first walk of a finite set's products.
+    Mutant("walk-unsorted", SEMIGROUP,
+           "return iter(sorted(_product_stream(primes, x, options.squarefree_only)))",
+           "return _product_stream(primes, x, options.squarefree_only)",
+           [ENUMERATE + "test_two_three_semigroup"], "enumerate's heap route out of order"),
+    Mutant("walk-full-start-skips-powers", SEMIGROUP,
+           "else max(i, 0)", "else i + 1", [ENUMERATE + "test_two_three_semigroup"],
+           "the full stream extends no member by its last generator: no prime powers"),
+    Mutant("walk-repeat-keeps-sign", SEMIGROUP,
+           "0 if j == i else -mu", "-mu", [ENUMERATE + "test_two_three_semigroup"],
+           "a repeated generator flips mu instead of zeroing it"),
+    Mutant("walk-squarefree-start-at-i", SEMIGROUP,
+           "i + 1 if squarefree_only", "i if squarefree_only",
+           [ENUMERATE + "test_squarefree_only_drops_zero_terms"],
+           "the squarefree stream yields mu 0 members (which the sums skip as zero terms)"),
+    Mutant("walk-breadth-first", SEMIGROUP,
+           "n, mu, i = stack.pop()", "n, mu, i = stack.pop(0)",
+           ["tests/test_semigroup.py::test_table_routes_stay_within_their_stated_memory"
+            "[partial_sum_float_finite]"],
+           "a queue, not a stack: a whole depth of the walk pending at once"),
     # The CSV quoting rule of the CLI.
     Mutant("csv-quote-test-dropped", CLI,
            "s if _CSV_QUOTED.isdisjoint(s) else ", "", [WRITERS + "test_every_kind_as_csv"],
@@ -332,6 +354,12 @@ SURVIVORS = [
     Mutant("constants-guard-bit-dropped", ZETA,
            "_SERIES_GUARD_BITS = 32\n", "_SERIES_GUARD_BITS = 31\n", ZETA_BROAD,
            "31 guard bits round every constant to the same 96-bit value as 32 do"),
+    Mutant("walk-continue-past-x", SEMIGROUP,
+           "            if m > x:\n                break\n",
+           "            if m > x:\n                continue\n",
+           [ENUMERATE.rstrip(":"), *WALK,
+            "tests/test_acceptance.py::test_oracle_equivalence_sieve_vs_heap"],
+           "equivalent: the generators ascend, so each product after the first past x is too"),
     Mutant("logfrac-walk-gap-below-1e-12", PRIMES,
            "            if gap < 0.0:\n", "            if gap < 1e-12:\n",
            DECISIONS + MEMBER_FLAGS,

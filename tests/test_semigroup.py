@@ -511,13 +511,14 @@ def test_float_sums_across_chunk_edges_match_one_fsum(chunk, monkeypatch):
 
 _EIGHT = FinitePrimes((2, 3, 5, 7, 11, 13, 17, 19))
 _NINE = FinitePrimes(_EIGHT.primes + (23,))
+_BELOW_TEN_THOUSAND = FinitePrimes(tuple(primes_in(AllPrimes(), 10**4)))  # 1229 primes
 
 
 @pytest.mark.parametrize("x", [10**3, 10**5, 10**6])
 def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypatch):
     # Stand-ins record the route that enumerate_terms and tally take.
     routes = []
-    monkeypatch.setattr(semigroup_module, "_heap_stream",
+    monkeypatch.setattr(semigroup_module, "_product_stream",
                         lambda primes, x, squarefree_only: routes.append("heap") or iter(()))
     monkeypatch.setattr(semigroup_module, "member_table",
                         lambda spec, x: routes.append("sieve") or bytearray(x + 1))
@@ -541,7 +542,9 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
 # The set is 1 mod 4, and all for a second member_table and zorn_check
 # case, in which every chunk of every band holds member primes.  A finite
 # set's <P'> flags need no marks, so its gran_residual holds one array at a
-# time if the flags are gone before the table of <P> is built.
+# time if the flags are gone before the table of <P> is built.  A finite
+# set's partial_sum walks its products with no table: the walk's stack holds
+# no per-n term, only one entry per listed prime.
 @pytest.mark.parametrize(
     "route, spec, x, per_n, per_member, per_result",
     [
@@ -556,10 +559,11 @@ def test_auto_takes_the_heap_for_finite_sets_of_at_most_eight_primes(x, monkeypa
         (partial_sum, ResiduePrimes(1, 4), EXACT_CEILING, 1.4, 4, 0),
         (partial_sum, AllPrimes(), EXACT_CEILING, 1.4, 4, 5),
         (lambda spec, x: partial_sum(spec, x, "float"), ResiduePrimes(1, 4), 10**6, 1.25, 0, 0),
+        (lambda spec, x: partial_sum(spec, x, "float"), _BELOW_TEN_THOUSAND, 2 * 10**5, 0, 136, 0),
     ],
     ids=["member_table", "member_table_all", "count_members_outside", "zorn_check",
          "zorn_check_all", "convergence_table", "gran_residual", "gran_residual_finite",
-         "partial_sum", "partial_sum_all", "partial_sum_float"],
+         "partial_sum", "partial_sum_all", "partial_sum_float", "partial_sum_float_finite"],
 )
 def test_table_routes_stay_within_their_stated_memory(route, spec, x, per_n, per_member,
                                                        per_result):
@@ -572,6 +576,15 @@ def test_table_routes_stay_within_their_stated_memory(route, spec, x, per_n, per
     finally:
         tracemalloc.stop()
     assert peak < per_n * x + per_member * members + per_result * result + 64 * 1024
+
+
+def test_walk_matches_the_table_for_a_set_of_many_primes():
+    # The finite route walks the products of the 1229 primes below 1e4; the
+    # table of the same set must give the same bits and the same term count.
+    x = 2 * 10**5
+    report = partial_sum(_BELOW_TEN_THOUSAND, x, "float")
+    value, count = next(table_fsums(member_table(_BELOW_TEN_THOUSAND, x), (x,)))
+    assert (report.value_float.hex(), report.term_count) == (value.hex(), count)
 
 
 @pytest.mark.parametrize(
@@ -607,8 +620,8 @@ def test_table_routes_mark_members_once(route, monkeypatch):
 # through the public readers.  No other module imports an underscore name
 # from the two, apart from these.
 _PRIVATE_IMPORTS = {
-    "sums.py": {"_heap_stream", "_distinct_prime_factors"},
-    "experiments.py": {"_heap_stream"},
+    "sums.py": {"_product_stream", "_distinct_prime_factors"},
+    "experiments.py": {"_product_stream"},
     "zeta.py": {"_mp_context"},
 }
 _PACKAGE = Path(primes_module.__file__).parent
